@@ -12,9 +12,14 @@ from pathlib import Path
 from graphbench import (
     correlation_matrix,
     emit_heatmap,
-    emit_tables,
     plan_experiments,
     run_experiment,
+)
+
+TABLES = (
+    ("pooled correlation table (lower triangle, mean tau-b)", "correlation.csv"),
+    ("granularity by corpus group", "granularity.csv"),
+    ("best-granularity share by model family", "best.csv"),
 )
 
 config = {
@@ -36,16 +41,14 @@ def main():
     failures = [r for r in results if r.error is not None]
     print(f"ran {len(results)} samples, {len(failures)} failures")
 
-    print("\npooled correlation table (lower triangle, mean tau-b):")
-    print(emit_tables(results, "correlation"))
-    print("granularity by corpus group:")
-    print(emit_tables(results, "granularity"))
-    print("best-granularity share by model family:")
-    print(emit_tables(results, "best"))
+    out_dir = Path(plan.output_dir)
+    for title, name in TABLES:
+        print(f"\n{title} ({name}):")
+        print((out_dir / name).read_text(), end="")
 
-    svg = emit_heatmap(correlation_matrix(results), Path("out_mini") / "heatmap.svg")
-    print(f"heatmap written to {svg}")
-    print("persisted artifacts:", sorted(p.name for p in Path("out_mini").iterdir()))
+    svg = emit_heatmap(correlation_matrix(results), out_dir / "heatmap.svg")
+    print(f"\nheatmap written to {svg}")
+    print("persisted artifacts:", sorted(p.name for p in out_dir.iterdir()))
 
 
 if __name__ == "__main__":

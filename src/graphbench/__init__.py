@@ -3,7 +3,6 @@ seeded correlation/granularity experiment harness."""
 
 from .graphs import (
     Graph,
-    GeodesicData,
     GraphError,
     FormatError,
     UNREACHABLE,
@@ -16,23 +15,14 @@ from .graphs import (
 )
 from .linalg import SingularMatrixError, invert, solve_linear, sym_eigen
 from .centrality import (
-    MEASURES,
-    SHORT_LABELS,
-    CentralityVector,
-    ConvergenceError,
     DisconnectedGraphError,
-    FlowMatrix,
-    InformationIntermediate,
-    PowerIterationState,
     all_measures,
     betweenness,
     centrality_csv,
     closeness,
-    compute_measure,
     degree,
     eccentricity,
     eigenvector,
-    flow_matrix,
     information,
     information_intermediate,
     power_iteration,
@@ -40,8 +30,6 @@ from .centrality import (
     walk_betweenness,
 )
 from .generators import (
-    CONNECTED_CLASS_COUNTS,
-    MODELS,
     GenerationError,
     KroneckerInitiator,
     ModelConfig,
@@ -57,34 +45,24 @@ from .generators import (
     kronecker,
     kronecker_pair_probabilities,
     load_graph6_corpus,
-    load_initiators,
     mix64,
     scale_free,
     small_world,
     splitmix64,
-    write_edge_list_corpus,
 )
 from .stats import (
-    GranularityReport,
-    RankCorrelationMatrix,
-    TAU_CONVENTIONS,
     aggregate_correlations,
     best_granularity_tally,
     distinct_count,
     granularity,
-    granularity_report,
     kendall_tau_b,
     mean_ci,
     round6,
 )
 from .harness import (
     ConfigError,
-    ExperimentCell,
-    ExperimentPlan,
-    RunResult,
     correlation_matrix,
     emit_heatmap,
-    emit_tables,
     load_results,
     plan_experiments,
     run_experiment,

@@ -226,27 +226,6 @@ def subgraph(g: Graph) -> CentralityVector:
     return CentralityVector("subgraph", (vecs * vecs) @ np.exp(lam))
 
 
-@dataclass(frozen=True)
-class FlowMatrix:
-    """Padded inverse of the grounded Laplacian used by walk betweenness.
-
-    One row and column (the last) of ``D - A`` are removed before
-    inversion and added back as zeros; those entries are exactly zero.
-    """
-
-    t: np.ndarray
-
-
-def flow_matrix(g: Graph) -> FlowMatrix:
-    n = g.n
-    lap = np.diag(g.degrees.astype(float)) - g.adjacency_matrix
-    t = np.zeros((n, n))
-    if n > 1:
-        t[: n - 1, : n - 1] = invert(lap[: n - 1, : n - 1])
-    t.flags.writeable = False
-    return FlowMatrix(t=t)
-
-
 def walk_betweenness(g: Graph) -> CentralityVector:
     """Current-flow (random-walk) betweenness.
 
@@ -261,7 +240,11 @@ def walk_betweenness(g: Graph) -> CentralityVector:
     n = g.n
     if n < 2:
         raise ValueError("walk betweenness is undefined for a single vertex")
-    t = flow_matrix(g).t
+    # Inverse of the Laplacian grounded at the last vertex: its last row
+    # and column are removed before inversion and padded back as zeros.
+    lap = np.diag(g.degrees.astype(float)) - g.adjacency_matrix
+    t = np.zeros((n, n))
+    t[: n - 1, : n - 1] = invert(lap[: n - 1, : n - 1])
     acc = np.zeros(n)
     edges = np.asarray(g.edges)
     rank_weights = 2.0 * np.arange(n) - (n - 1)

@@ -10,7 +10,8 @@ Subcommands::
     tables      re-derive the roll-up CSVs from a results directory
     heatmap     render the pooled correlation matrix as an SVG
 
-Exit codes: 0 success, 1 partial sample failures, 2 configuration error.
+Exit codes: 0 success, 1 partial sample failures, 2 configuration error
+or an input too large to hold in memory.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from pathlib import Path
 
 from .centrality import all_measures, centrality_csv
 from .generators import (
+    DEFAULT_MAX_RETRIES,
     GenerationError,
     ModelConfig,
     MODELS,
@@ -137,9 +139,14 @@ def _cmd_experiment(args) -> int:
     )
     results = run_experiment(plan, workers=args.workers, keep_vectors=args.keep_vectors)
     failures = [r for r in results if r.error is not None]
+    errors_by_cell: dict[int, list[str]] = {}
     for r in failures:
+        errors_by_cell.setdefault(r.cell_index, []).append(r.error)
+    for index, errors in errors_by_cell.items():
+        cell = plan.cells[index]
         print(
-            f"sample cell={r.cell_index} idx={r.sample_index} failed: {r.error}",
+            f"cell {index} {cell.model} n={cell.n}: {len(errors)}/{cell.samples} "
+            f"samples failed; first error: {errors[0]}",
             file=sys.stderr,
         )
     print(
@@ -184,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initiator", help="initiator name for model 'kg'")
     p.add_argument("--connected", action="store_true",
                    help="retry until the sample is connected")
-    p.add_argument("--max-retries", type=int, default=100)
+    p.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_generate)
 
@@ -234,6 +241,9 @@ def main(argv=None) -> int:
         return 1
     except (ConfigError, FormatError, GraphError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -37,7 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .graphs import Graph, FormatError, format_edge_list, is_connected, parse_graph6
+from .graphs import Graph, FormatError, is_connected, parse_graph6
 
 log = logging.getLogger(__name__)
 
@@ -356,37 +356,6 @@ def ensure_connected(
     raise GenerationError(
         f"no connected sample within {max_retries} retries for {cfg.describe()}"
     )
-
-
-def write_edge_list_corpus(
-    configs, out_dir, max_retries: int = DEFAULT_MAX_RETRIES
-) -> dict:
-    """Sample one connected network per config into a directory.
-
-    Writes ``sample<idx>.edges`` files plus a ``manifest.json`` recording
-    model, params, seed, and retry count for every sample; returns the
-    manifest dictionary.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for idx, cfg in enumerate(configs):
-        g, retries = ensure_connected(cfg, max_retries)
-        name = f"sample{idx:05d}.edges"
-        (out_dir / name).write_text(format_edge_list(g), encoding="utf-8")
-        entries.append({
-            "file": name,
-            "model": cfg.model,
-            "n": cfg.n,
-            "params": dict(cfg.params),
-            "seed": cfg.seed,
-            "retries": retries,
-        })
-    manifest = {"samples": entries}
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return manifest
 
 
 def _permutation_bit_sources(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,13 @@ cell, computes the configured centrality measures, per-pair rank
 correlations and distinct-value counts, and persists one JSON record per
 sample plus roll-up CSV tables.
 
+A sample has one form, :class:`RunResult`. The plan creates it with its
+identity (cell, sample, model, n, params, seed), the worker fills in what
+measuring the network records, and ``samples/cell####_s####.json`` holds
+its fields as written by :meth:`RunResult.to_dict`; :func:`load_results`
+rebuilds it from exactly those keys. :func:`write_all_tables` is the only
+path from samples to the roll-up CSVs.
+
 Execution is deterministic: every sample's seed is derived from the base
 seed and the sample's (model, cell, sample) coordinates, samples are
 aggregated in canonical cell/sample order, and re-running the same config
@@ -21,8 +28,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from multiprocessing import get_context
 from pathlib import Path
 from time import perf_counter
@@ -31,6 +40,7 @@ from . import stats
 from .centrality import MEASURES, SHORT_LABELS, compute_measure
 from .generators import (
     CONNECTED_CLASS_COUNTS,
+    DEFAULT_MAX_RETRIES,
     MODEL_IDS,
     ModelConfig,
     derive_seed,
@@ -74,7 +84,6 @@ _GRID_PARAMS = {
 
 _DEFAULT_SAMPLES = 10
 _DEFAULT_CONFIDENCE = 0.99
-_DEFAULT_MAX_RETRIES = 100
 
 _CONFIG_KEYS = {
     "models", "samples_per_cell", "base_seed", "metrics", "output_dir",
@@ -110,7 +119,7 @@ class ExperimentPlan:
     samples_per_cell: int
     output_dir: str
     confidence: float = _DEFAULT_CONFIDENCE
-    max_retries: int = _DEFAULT_MAX_RETRIES
+    max_retries: int = DEFAULT_MAX_RETRIES
 
     @property
     def total_samples(self) -> int:
@@ -122,7 +131,12 @@ class ExperimentPlan:
 
 @dataclass
 class RunResult:
-    """Everything recorded about one sampled network."""
+    """Everything recorded about one sampled network.
+
+    The identity fields are set when the run is planned; the rest are
+    filled in by the worker that measures the network. A failed sample
+    keeps what was recorded before the failure, plus ``error``.
+    """
 
     cell_index: int
     sample_index: int
@@ -139,41 +153,14 @@ class RunResult:
     vectors: dict | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "cell_index": self.cell_index,
-            "sample_index": self.sample_index,
-            "model": self.model,
-            "n": self.n,
-            "params": self.params,
-            "seed": self.seed,
-            "retries": self.retries,
-            "distinct_counts": self.distinct_counts,
-            "granularity": self.granularity,
-            "tau": self.tau,
-            "timings": self.timings,
-            "error": self.error,
-        }
-        if self.vectors is not None:
-            out["vectors"] = self.vectors
+        """The persisted record: every field, ``vectors`` only when kept."""
+        out = dict(vars(self))
+        if self.vectors is None:
+            del out["vectors"]
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunResult":
-        return cls(
-            cell_index=int(data["cell_index"]),
-            sample_index=int(data["sample_index"]),
-            model=data["model"],
-            n=int(data["n"]),
-            params=dict(data["params"]),
-            seed=int(data["seed"]),
-            retries=int(data["retries"]),
-            distinct_counts=dict(data["distinct_counts"]),
-            granularity=dict(data["granularity"]),
-            tau=dict(data["tau"]),
-            timings=dict(data["timings"]),
-            error=data.get("error"),
-            vectors=data.get("vectors"),
-        )
+
+_RECORD_KEYS = frozenset(f.name for f in fields(RunResult))
 
 
 def _as_list(value) -> list:
@@ -268,7 +255,7 @@ def plan_experiments(config) -> ExperimentPlan:
         raise ConfigError("config key 'metrics' must name at least one measure")
     output_dir = config.get("output_dir", "results")
     confidence = float(config.get("confidence", _DEFAULT_CONFIDENCE))
-    max_retries = int(config.get("max_retries", _DEFAULT_MAX_RETRIES))
+    max_retries = int(config.get("max_retries", DEFAULT_MAX_RETRIES))
 
     initiators = None
     if config.get("kronecker_initiators_path"):
@@ -304,82 +291,64 @@ def plan_experiments(config) -> ExperimentPlan:
     )
 
 
-def _run_sample(task: dict) -> dict:
-    """Worker body: generate (or decode) one network and measure it."""
-    result = {
-        "cell_index": task["cell_index"],
-        "sample_index": task["sample_index"],
-        "model": task["model"],
-        "n": task["n"],
-        "params": task["params"],
-        "seed": task["seed"],
-        "retries": 0,
-        "distinct_counts": {},
-        "granularity": {},
-        "tau": {},
-        "timings": {},
-        "error": None,
-    }
+def _run_sample(
+    result: RunResult, graph6: str | None, *, metrics, max_retries: int,
+    keep_vectors: bool,
+) -> RunResult:
+    """Worker body: generate (or decode) one network, measure it, and fill
+    in ``result``."""
     try:
-        if task.get("graph6") is not None:
-            g = parse_graph6(task["graph6"])
+        if graph6 is not None:
+            g = parse_graph6(graph6)
         else:
             cfg = ModelConfig(
-                model=task["model"], n=task["n"],
-                params=task["params"], seed=task["seed"],
+                model=result.model, n=result.n, params=result.params, seed=result.seed,
             )
-            g, retries = ensure_connected(cfg, task["max_retries"])
-            result["retries"] = retries
+            g, result.retries = ensure_connected(cfg, max_retries)
         vectors = {}
-        for m in task["metrics"]:
+        for m in metrics:
             t0 = perf_counter()
             vectors[m] = compute_measure(g, m)
-            result["timings"][m] = perf_counter() - t0
+            result.timings[m] = perf_counter() - t0
         for m, vec in vectors.items():
             count = stats.distinct_count(vec.values)
-            result["distinct_counts"][m] = count
-            result["granularity"][m] = 100.0 * count / g.n
-        metrics = sorted(task["metrics"])
-        for i, a in enumerate(metrics):
-            for b in metrics[i + 1:]:
-                result["tau"][f"{a}|{b}"] = stats.kendall_tau_b(
+            result.distinct_counts[m] = count
+            result.granularity[m] = 100.0 * count / g.n
+        ordered = sorted(metrics)
+        for i, a in enumerate(ordered):
+            for b in ordered[i + 1:]:
+                result.tau[f"{a}|{b}"] = stats.kendall_tau_b(
                     vectors[a].values, vectors[b].values
                 )
-        if task.get("keep_vectors"):
-            result["vectors"] = {
+        if keep_vectors:
+            result.vectors = {
                 m: [float(x) for x in vec.values] for m, vec in vectors.items()
             }
     except Exception as exc:  # failures are recorded, never fatal to the run
-        result["error"] = f"{type(exc).__name__}: {exc}"
+        result.error = f"{type(exc).__name__}: {exc}"
     return result
 
 
-def _build_tasks(plan: ExperimentPlan, keep_vectors: bool) -> list[dict]:
-    tasks = []
-    corpus_cache: dict[int, list[str]] = {}
+def _build_tasks(plan: ExperimentPlan) -> tuple[list[RunResult], list[str | None]]:
+    """One identity-only record per planned sample, in canonical order,
+    and beside each its census graph6 string (None for generated ones)."""
+    records: list[RunResult] = []
+    graph6s: list[str | None] = []
     for cell in plan.cells:
+        corpus = None
         if cell.model == "nonisomorphic":
-            if cell.n not in corpus_cache:
-                corpus_cache[cell.n] = [
-                    format_graph6(g) for g in enumerate_connected_nonisomorphic(cell.n)
-                ]
-            records = corpus_cache[cell.n]
-        else:
-            records = None
+            corpus = [format_graph6(g) for g in enumerate_connected_nonisomorphic(cell.n)]
         for sample in range(cell.samples):
-            tasks.append({
-                "cell_index": cell.index,
-                "sample_index": sample,
-                "model": cell.model,
-                "n": cell.n,
-                "params": cell.params_dict(),
-                "seed": plan.sample_seed(cell, sample),
-                "metrics": list(plan.metrics),
-                "max_retries": plan.max_retries,
-                "keep_vectors": keep_vectors,
-                "graph6": records[sample] if records is not None else None,
-            })
-    return tasks
+            records.append(RunResult(
+                cell_index=cell.index,
+                sample_index=sample,
+                model=cell.model,
+                n=cell.n,
+                params=cell.params_dict(),
+                seed=plan.sample_seed(cell, sample),
+            ))
+            graph6s.append(corpus[sample] if corpus is not None else None)
+    return records, graph6s
 
 
 def _manifest(plan: ExperimentPlan) -> dict:
@@ -418,23 +387,32 @@ def run_experiment(
 ) -> list[RunResult]:
     """Execute the plan and persist samples, manifest, and roll-up tables.
 
-    Sample tasks are independent; with ``workers > 1`` they run in a
-    spawned process pool. Aggregation follows canonical task order, so
-    outputs do not depend on scheduling or the worker count.
+    Samples are independent; they run in a spawned process pool of
+    ``min(workers, os.cpu_count(), samples)`` processes, or in this
+    process when that is 1. Aggregation follows canonical sample order, so
+    outputs do not depend on scheduling or the worker count. Sample
+    records an earlier run left in ``output_dir`` are removed, so the
+    directory holds this run's records only.
     """
     out_dir = Path(plan.output_dir)
     samples_dir = out_dir / "samples"
     samples_dir.mkdir(parents=True, exist_ok=True)
-    tasks = _build_tasks(plan, keep_vectors)
+    records, graph6s = _build_tasks(plan)
+    run = partial(
+        _run_sample, metrics=plan.metrics, max_retries=plan.max_retries,
+        keep_vectors=keep_vectors,
+    )
+    workers = min(workers, os.cpu_count() or 1, len(records))
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=get_context("spawn")
         ) as pool:
-            raw = list(pool.map(_run_sample, tasks, chunksize=4))
+            results = list(pool.map(run, records, graph6s, chunksize=4))
     else:
-        raw = [_run_sample(task) for task in tasks]
-    results = [RunResult.from_dict(r) for r in raw]
+        results = list(map(run, records, graph6s))
 
+    for stale in samples_dir.glob("cell*_s*.json"):
+        stale.unlink()
     (out_dir / "manifest.json").write_text(
         json.dumps(_manifest(plan), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -449,13 +427,30 @@ def run_experiment(
 
 
 def load_results(results_dir) -> list[RunResult]:
-    """Load persisted sample records in canonical cell/sample order."""
+    """Load persisted sample records in canonical cell/sample order.
+
+    A record that is not JSON, or whose keys are not exactly those
+    :meth:`RunResult.to_dict` writes, raises :class:`ValueError` naming
+    its file.
+    """
     samples_dir = Path(results_dir) / "samples"
     if not samples_dir.is_dir():
         raise FileNotFoundError(f"no samples directory under {results_dir}")
     results = []
     for path in samples_dir.glob("*.json"):
-        results.append(RunResult.from_dict(json.loads(path.read_text(encoding="utf-8"))))
+        try:
+            record = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+        keys = set(record) if isinstance(record, dict) else set()
+        missing = sorted(_RECORD_KEYS - keys - {"vectors"})
+        unknown = sorted(keys - _RECORD_KEYS)
+        if missing or unknown:
+            raise ValueError(
+                f"{path}: not a sample record (missing keys {missing}, "
+                f"unknown keys {unknown})"
+            )
+        results.append(RunResult(**record))
     results.sort(key=lambda r: (r.cell_index, r.sample_index))
     return results
 
@@ -481,18 +476,6 @@ def correlation_matrix(results, confidence: float = _DEFAULT_CONFIDENCE) -> Rank
     return aggregate_correlations(tau_maps, MEASURES, confidence)
 
 
-def emit_tables(results, which: str, confidence: float = _DEFAULT_CONFIDENCE) -> str:
-    """Render one roll-up table ('correlation', 'granularity', or 'best')."""
-    good = _ok(results)
-    if which == "correlation":
-        return _correlation_csv(good, confidence)
-    if which == "granularity":
-        return _granularity_csv(good, confidence)
-    if which == "best":
-        return _best_csv(good)
-    raise ValueError(f"unknown table '{which}'")
-
-
 def _correlation_csv(good, confidence) -> str:
     matrix = correlation_matrix(good, confidence)
     header = "metric," + ",".join(SHORT_LABELS[m] for m in CORRELATION_ORDER)
@@ -509,11 +492,22 @@ def _correlation_csv(good, confidence) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _by_model(good) -> dict[str, list[RunResult]]:
+    by_model: dict[str, list[RunResult]] = {}
+    for r in good:
+        by_model.setdefault(r.model, []).append(r)
+    return by_model
+
+
+def _corpus_group(r: RunResult) -> str:
+    """The granularity tables pool the census apart from the random models."""
+    return "nonisomorphic" if r.model == "nonisomorphic" else "complex_models"
+
+
 def _granularity_csv(good, confidence) -> str:
-    groups = {
-        "complex_models": [r for r in good if r.model != "nonisomorphic"],
-        "nonisomorphic": [r for r in good if r.model == "nonisomorphic"],
-    }
+    groups: dict[str, list[RunResult]] = {"complex_models": [], "nonisomorphic": []}
+    for r in good:
+        groups[_corpus_group(r)].append(r)
     header = (
         "metric,complex_models_mean,complex_models_ci,"
         "nonisomorphic_mean,nonisomorphic_ci"
@@ -539,8 +533,7 @@ def _granularity_by_size_csv(good, confidence) -> str:
     means (one weight per network) can be compared with per-size means."""
     groups: dict[tuple[str, int], list[RunResult]] = {}
     for r in good:
-        name = "nonisomorphic" if r.model == "nonisomorphic" else "complex_models"
-        groups.setdefault((name, r.n), []).append(r)
+        groups.setdefault((_corpus_group(r), r.n), []).append(r)
     lines = ["metric,group,n,mean,ci"]
     for metric in GRANULARITY_ORDER:
         for (name, n) in sorted(groups):
@@ -557,9 +550,7 @@ def _granularity_by_size_csv(good, confidence) -> str:
 
 
 def _best_csv(good) -> str:
-    by_family: dict[str, list[RunResult]] = {}
-    for r in good:
-        by_family.setdefault(r.model, []).append(r)
+    by_family = _by_model(good)
     header = "metric," + ",".join(FAMILY_LABELS[f] for f in FAMILY_ORDER)
     percents: dict[str, dict[str, float]] = {}
     for family, members in by_family.items():
@@ -579,9 +570,7 @@ def _best_csv(good) -> str:
 
 
 def _correlation_by_model_csv(good, confidence) -> str:
-    by_family: dict[str, list[RunResult]] = {}
-    for r in good:
-        by_family.setdefault(r.model, []).append(r)
+    by_family = _by_model(good)
     lines = ["model,pair,mean_tau,count,ci_half_width"]
     for family in FAMILY_ORDER:
         if family not in by_family:

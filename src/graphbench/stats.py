@@ -179,60 +179,3 @@ def aggregate_correlations(
         half_width=half_width, confidence=confidence,
     )
 
-
-@dataclass(frozen=True)
-class GranularityReport:
-    """Distinct-value statistics for one group of networks."""
-
-    measures: tuple[str, ...]
-    mean_percent: dict
-    half_width: dict
-    best_count: dict
-    network_count: int
-    confidence: float
-
-    def __post_init__(self):
-        for m in self.measures:
-            pct = self.mean_percent[m]
-            if not 0.0 <= pct <= 100.0:
-                raise ValueError(f"{m}: mean percent {pct} outside [0, 100]")
-            if not 0 <= self.best_count[m] <= self.network_count:
-                raise ValueError(f"{m}: best tally outside 0..{self.network_count}")
-        if self.network_count and sum(self.best_count.values()) < self.network_count:
-            raise ValueError("some network has no best metric")
-
-    def best_percent(self, measure: str) -> float:
-        return 100.0 * self.best_count[measure] / self.network_count
-
-
-def granularity_report(
-    per_network_percent: Sequence[Mapping[str, float]],
-    per_network_distinct: Sequence[Mapping[str, int]],
-    measures: Sequence[str],
-    confidence: float = 0.99,
-) -> GranularityReport:
-    if len(per_network_percent) != len(per_network_distinct):
-        raise ValueError("percent and distinct-count records differ in length")
-    if not per_network_percent:
-        raise ValueError("need at least one network")
-    measures = tuple(measures)
-    mean_percent: dict = {}
-    half_width: dict = {}
-    for m in measures:
-        arr = np.asarray([rec[m] for rec in per_network_percent])
-        mean_percent[m] = float(arr.mean())
-        half_width[m] = mean_ci(arr, confidence)[1] if arr.size >= 2 else None
-    best = {m: 0 for m in measures}
-    for counts in per_network_distinct:
-        top = max(counts[m] for m in measures)
-        for m in measures:
-            if counts[m] == top:
-                best[m] += 1
-    return GranularityReport(
-        measures=measures,
-        mean_percent=mean_percent,
-        half_width=half_width,
-        best_count=best,
-        network_count=len(per_network_percent),
-        confidence=confidence,
-    )

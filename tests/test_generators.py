@@ -294,27 +294,6 @@ class TestCorpusLoader:
             load_graph6_corpus(path)
 
 
-class TestEdgeListCorpus:
-    def test_directory_and_manifest(self, tmp_path):
-        from graphbench import parse_edge_list, write_edge_list_corpus
-
-        configs = [
-            ModelConfig(model="er", n=30, params={"p": 0.3}, seed=1),
-            ModelConfig(model="sw", n=20, params={"k": 4, "p": 0.2}, seed=2),
-        ]
-        manifest = write_edge_list_corpus(configs, tmp_path / "corpus")
-        assert [e["model"] for e in manifest["samples"]] == ["er", "sw"]
-        assert all(e["retries"] >= 0 and "seed" in e for e in manifest["samples"])
-        import json
-
-        on_disk = json.loads((tmp_path / "corpus" / "manifest.json").read_text())
-        assert on_disk == manifest
-        for entry in manifest["samples"]:
-            g = parse_edge_list((tmp_path / "corpus" / entry["file"]).read_text())
-            assert g.n == entry["n"]
-            assert is_connected(g)
-
-
 class TestModelConfig:
     def test_dispatch(self):
         cfg = ModelConfig(model="sf", n=30, params={"k": 2}, seed=5)

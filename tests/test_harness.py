@@ -8,14 +8,14 @@ from graphbench import (
     ConfigError,
     correlation_matrix,
     emit_heatmap,
-    emit_tables,
     load_results,
     plan_experiments,
     run_experiment,
     write_all_tables,
 )
+from graphbench import cli, harness
 from graphbench.cli import main as cli_main
-from graphbench.harness import RunResult, _ramp
+from graphbench.harness import TABLE_FILES, RunResult, _ramp
 
 
 def _tiny_config(out_dir, **overrides):
@@ -156,6 +156,55 @@ class TestRun:
         assert all(r.error is None for r in results)
         assert {r.n for r in results} == {4}
 
+    def test_malformed_record_named(self, tmp_path):
+        plan = plan_experiments(_tiny_config(tmp_path / "out", samples_per_cell=1,
+                                             metrics=["degree", "closeness"]))
+        run_experiment(plan)
+        path = tmp_path / "out" / "samples" / "cell0000_s0000.json"
+        record = json.loads(path.read_text())
+        for text in (json.dumps({**record, "typo": 1}),
+                     json.dumps({k: v for k, v in record.items() if k != "retries"}),
+                     json.dumps(record)[:-1]):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="cell0000_s0000.json"):
+                load_results(tmp_path / "out")
+
+    def test_rerun_with_fewer_samples_drops_stale_records(self, tmp_path):
+        metrics = ["degree", "closeness"]
+        run_experiment(plan_experiments(
+            _tiny_config(tmp_path / "out", samples_per_cell=6, metrics=metrics)))
+        run_experiment(plan_experiments(
+            _tiny_config(tmp_path / "out", samples_per_cell=2, metrics=metrics)))
+        assert len(load_results(tmp_path / "out")) == 2
+
+    def test_pool_size_capped(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            """Records the requested size and maps in this process."""
+
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        plan = plan_experiments(_tiny_config(tmp_path / "out", samples_per_cell=3,
+                                             metrics=["degree", "closeness"]))
+        for cpus, workers in ((2, 8), (64, 8), (None, 8), (1, 8), (64, 1)):
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+            results = run_experiment(plan, workers=workers)
+            assert [r.error for r in results] == [None] * 3
+        # Capped by the core count, then by the 3 samples; serial at 1.
+        assert sizes == [2, 3]
+
     def test_keep_vectors(self, tmp_path):
         plan = plan_experiments(_tiny_config(tmp_path / "out"))
         results = run_experiment(plan, keep_vectors=True)
@@ -170,8 +219,9 @@ class TestRun:
 
 
 @pytest.fixture(scope="module")
-def mixed_results(tmp_path_factory):
-    out = tmp_path_factory.mktemp("mixed")
+def mixed_dir(tmp_path_factory):
+    """Results directory of a run over two models and a census cell."""
+    out = tmp_path_factory.mktemp("mixed") / "results"
     config = {
         "models": [
             {"model": "er", "n": [25], "p": [0.4]},
@@ -180,15 +230,19 @@ def mixed_results(tmp_path_factory):
         ],
         "samples_per_cell": 3,
         "base_seed": 11,
-        "output_dir": str(out / "results"),
+        "output_dir": str(out),
     }
-    return run_experiment(plan_experiments(config))
+    run_experiment(plan_experiments(config))
+    return out
+
+
+def _table_lines(out_dir, name):
+    return (out_dir / TABLE_FILES[name]).read_text().strip().split("\n")
 
 
 class TestTables:
-    def test_correlation_has_28_lower_triangle_cells(self, mixed_results):
-        text = emit_tables(mixed_results, "correlation")
-        lines = text.strip().split("\n")
+    def test_correlation_has_28_lower_triangle_cells(self, mixed_dir):
+        lines = _table_lines(mixed_dir, "correlation")
         assert lines[0] == "metric,C_c,C_b,C_d,C_e,C_i,C_s,C_w,C_x"
         assert len(lines) == 9
         populated = sum(
@@ -198,9 +252,8 @@ class TestTables:
         assert lines[1].startswith("C_c,")
         assert lines[8].startswith("C_x,")
 
-    def test_granularity_groups_and_order(self, mixed_results):
-        text = emit_tables(mixed_results, "granularity")
-        lines = text.strip().split("\n")
+    def test_granularity_groups_and_order(self, mixed_dir):
+        lines = _table_lines(mixed_dir, "granularity")
         assert lines[0] == ("metric,complex_models_mean,complex_models_ci,"
                             "nonisomorphic_mean,nonisomorphic_ci")
         labels = [line.split(",")[0] for line in lines[1:]]
@@ -216,14 +269,12 @@ class TestTables:
             "output_dir": str(tmp_path / "out"),
         }
         results = run_experiment(plan_experiments(config))
-        text = emit_tables(results, "granularity")
-        row = text.strip().split("\n")[1].split(",")
+        row = _table_lines(tmp_path / "out", "granularity")[1].split(",")
         assert row[1] != "" and row[2] == ""
         assert float(row[1]) == pytest.approx(results[0].granularity["betweenness"])
 
-    def test_best_columns_follow_family_order(self, mixed_results):
-        text = emit_tables(mixed_results, "best")
-        lines = text.strip().split("\n")
+    def test_best_columns_follow_family_order(self, mixed_dir):
+        lines = _table_lines(mixed_dir, "best")
         assert lines[0] == "metric,N_ni,M_cs,M_sf,M_sw,M_gr,M_er,M_kg"
         # kg and cs, sf, gr were not run: their columns stay empty.
         for line in lines[1:]:
@@ -231,35 +282,32 @@ class TestTables:
             assert cells[1] != "" and cells[4] != "" and cells[6] != ""
             assert cells[2] == "" and cells[3] == "" and cells[7] == ""
 
-    def test_granularity_by_size_groups(self, mixed_results):
-        from graphbench.harness import _granularity_by_size_csv, _ok
-
-        text = _granularity_by_size_csv(_ok(mixed_results), 0.99)
-        lines = text.strip().split("\n")
+    def test_granularity_by_size_groups(self, mixed_dir):
+        lines = _table_lines(mixed_dir, "granularity_by_size")
         assert lines[0] == "metric,group,n,mean,ci"
         rows = {tuple(line.split(",")[:3]) for line in lines[1:]}
         assert ("C_b", "complex_models", "24") in rows
         assert ("C_b", "complex_models", "25") in rows
         assert ("C_b", "nonisomorphic", "4") in rows
 
-    def test_best_columns_may_sum_above_100(self, mixed_results):
-        text = emit_tables(mixed_results, "best")
-        lines = text.strip().split("\n")[1:]
+    def test_best_columns_may_sum_above_100(self, mixed_dir):
+        lines = _table_lines(mixed_dir, "best")[1:]
         noniso = [float(line.split(",")[1]) for line in lines if line.split(",")[1]]
         assert sum(noniso) > 100.0
 
-    def test_empty_results_rejected(self):
+    def test_empty_results_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_tables([], "correlation")
+            write_all_tables([], tmp_path)
         failed = RunResult(cell_index=0, sample_index=0, model="er", n=5,
                            params={}, seed=0, error="boom")
         with pytest.raises(ValueError):
-            emit_tables([failed], "granularity")
+            write_all_tables([failed], tmp_path)
 
-    def test_tables_pure_function_of_stored_results(self, mixed_results, tmp_path):
-        direct = emit_tables(mixed_results, "correlation")
-        paths = write_all_tables(mixed_results, tmp_path)
-        assert paths["correlation"].read_text() == direct
+    def test_tables_pure_function_of_stored_results(self, mixed_dir, tmp_path):
+        paths = write_all_tables(load_results(mixed_dir), tmp_path)
+        assert set(paths) == set(TABLE_FILES)
+        for name, path in paths.items():
+            assert path.read_bytes() == (mixed_dir / TABLE_FILES[name]).read_bytes(), name
 
 
 class TestHeatmap:
@@ -341,18 +389,34 @@ class TestCli:
                          "--out", str(svg)]) == 0
         assert svg.read_text().startswith("<svg")
 
-    def test_partial_failure_exit_code(self, tmp_path):
+    def test_partial_failure_exit_code(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "models": [
                 {"model": "er", "n": [5], "p": [0.0]},
                 {"model": "er", "n": [20], "p": [0.5]},
             ],
-            "samples_per_cell": 1,
+            "samples_per_cell": 2,
             "max_retries": 3,
             "output_dir": str(tmp_path / "results"),
         }))
         assert cli_main(["experiment", "--config", str(config)]) == 1
+        # Both samples of cell 0 fail: one line names the cell and counts them.
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if "failed" in line]
+        assert len(failed) == 1
+        assert failed[0].startswith("cell 0 er n=5: 2/2 samples failed; ")
+        assert "no connected sample within 3 retries" in failed[0]
+
+    def test_out_of_memory_exit_code(self, monkeypatch, capsys):
+        def generate(cfg):
+            raise MemoryError("Unable to allocate 37.3 GiB")
+
+        monkeypatch.setattr(cli, "generate", generate)
+        rc = cli_main(["generate", "--model", "er", "--n", "200000",
+                       "--param", "p=0.1"])
+        assert rc == 2
+        assert "error: out of memory: Unable to allocate" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         config = tmp_path / "config.json"

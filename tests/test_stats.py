@@ -7,7 +7,6 @@ from graphbench import (
     aggregate_correlations,
     best_granularity_tally,
     granularity,
-    granularity_report,
     kendall_tau_b,
     mean_ci,
     round6,
@@ -110,6 +109,9 @@ class TestMeanCi:
         mean, half = mean_ci([0, 1], 0.99)
         assert mean == 0.5
         assert half == pytest.approx(1.288, abs=5e-4)
+        mean, half = mean_ci([50.0, 70.0], 0.99)
+        assert mean == pytest.approx(60.0)
+        assert half == pytest.approx(20 * 1.288, abs=1e-2)
 
     def test_half_width_shrinks_like_sqrt_n(self):
         # Same composition at 4x the length: the half-width halves, up to
@@ -136,6 +138,8 @@ class TestBestTally:
     def test_unique_maximum(self):
         out = best_granularity_tally([{"a": 5, "b": 3, "c": 3}])
         assert out == {"a": 100.0, "b": 0.0, "c": 0.0}
+        out = best_granularity_tally([{"a": 1, "b": 2}, {"a": 7, "b": 9}])
+        assert out == {"a": 0.0, "b": 100.0}
 
     def test_tallies_can_sum_above_100(self):
         out = best_granularity_tally(
@@ -162,14 +166,3 @@ class TestAggregates:
     def test_out_of_range_tau_rejected(self):
         with pytest.raises(ValueError):
             aggregate_correlations([{("a", "b"): 1.5}], ("a", "b"), 0.99)
-
-    def test_granularity_report(self):
-        report = granularity_report(
-            per_network_percent=[{"a": 50.0, "b": 100.0}, {"a": 70.0, "b": 90.0}],
-            per_network_distinct=[{"a": 1, "b": 2}, {"a": 7, "b": 9}],
-            measures=("a", "b"),
-        )
-        assert report.mean_percent["a"] == pytest.approx(60.0)
-        assert report.best_count == {"a": 0, "b": 2}
-        assert report.best_percent("b") == 100.0
-        assert report.network_count == 2
