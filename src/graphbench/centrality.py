@@ -246,7 +246,7 @@ def walk_betweenness(g: Graph) -> CentralityVector:
     t = np.zeros((n, n))
     t[: n - 1, : n - 1] = invert(lap[: n - 1, : n - 1])
     acc = np.zeros(n)
-    edges = np.asarray(g.edges)
+    edges = g.edges
     rank_weights = 2.0 * np.arange(n) - (n - 1)
     for lo in range(0, len(edges), _EDGE_CHUNK):
         chunk = edges[lo : lo + _EDGE_CHUNK]

@@ -149,9 +149,10 @@ def _cmd_experiment(args) -> int:
             f"samples failed; first error: {errors[0]}",
             file=sys.stderr,
         )
+    ok = len(results) - len(failures)
     print(
-        f"done: {len(results) - len(failures)}/{len(results)} samples ok; "
-        f"tables in {plan.output_dir}",
+        f"done: {ok}/{len(results)} samples ok; "
+        + (f"tables in {plan.output_dir}" if ok else "no tables written"),
         file=sys.stderr,
     )
     return 1 if failures else 0

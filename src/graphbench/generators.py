@@ -43,6 +43,10 @@ log = logging.getLogger(__name__)
 
 MODELS = ("cs", "er", "gr", "sf", "sw", "kg")
 
+# The parameters each model's generator reads from ModelConfig.params.
+_MODEL_PARAMS = {"er": ("p",), "sf": ("k",), "sw": ("k", "p"), "gr": ("kappa",),
+                 "cs": ("p_c", "p", "c"), "kg": ("initiator", "k")}
+
 # Stable identifiers folded into derived seeds; order is frozen.
 MODEL_IDS = {"er": 1, "sf": 2, "sw": 3, "gr": 4, "cs": 5, "kg": 6, "nonisomorphic": 7}
 
@@ -83,10 +87,6 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed & _MASK64))
 
 
-def _edges_from_mask(iu: np.ndarray, ju: np.ndarray, mask: np.ndarray) -> list[tuple[int, int]]:
-    return list(zip(iu[mask].tolist(), ju[mask].tolist()))
-
-
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Uniform random graph: each of the C(n,2) pairs kept with probability p."""
     if not 0.0 <= p <= 1.0:
@@ -94,7 +94,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     rng = _rng(seed)
     iu, ju = np.triu_indices(n, 1)
     mask = rng.random(iu.size) < p
-    return Graph(n, _edges_from_mask(iu, ju, mask))
+    return Graph(n, np.column_stack((iu[mask], ju[mask])))
 
 
 def scale_free(n: int, k: int, seed: int) -> Graph:
@@ -195,17 +195,21 @@ def geographical(n: int, kappa: float, seed: int) -> Graph:
     rng = _rng(seed)
     iu, ju = np.triu_indices(n, 1)
     mask = rng.random(iu.size) < probs[iu, ju]
-    return Graph(n, _edges_from_mask(iu, ju, mask))
+    return Graph(n, np.column_stack((iu[mask], ju[mask])))
+
+
+def _draw_memberships(n: int, p_c: float, c: int, rng: np.random.Generator) -> np.ndarray:
+    if not 0.0 <= p_c <= 1.0:
+        raise ValueError(f"membership probability must be in [0, 1], got {p_c}")
+    if c < 1:
+        raise ValueError(f"community count must be >= 1, got {c}")
+    return rng.random((n, c)) < p_c
 
 
 def community_memberships(n: int, p_c: float, c: int, seed: int) -> np.ndarray:
     """Boolean (n, c) membership matrix; the first sampling stage of
     :func:`community_structure` under the same seed."""
-    if not 0.0 <= p_c <= 1.0:
-        raise ValueError(f"membership probability must be in [0, 1], got {p_c}")
-    if c < 1:
-        raise ValueError(f"community count must be >= 1, got {c}")
-    return _rng(seed).random((n, c)) < p_c
+    return _draw_memberships(n, p_c, c, _rng(seed))
 
 
 def community_structure(n: int, p_c: float, p: float, c: int, seed: int) -> Graph:
@@ -219,11 +223,11 @@ def community_structure(n: int, p_c: float, p: float, c: int, seed: int) -> Grap
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = _rng(seed)
-    member = rng.random((n, c)) < p_c
+    member = _draw_memberships(n, p_c, c, rng)
     shared = (member.astype(np.int64) @ member.T.astype(np.int64)) > 0
     iu, ju = np.triu_indices(n, 1)
     mask = shared[iu, ju] & (rng.random(iu.size) < p)
-    return Graph(n, _edges_from_mask(iu, ju, mask))
+    return Graph(n, np.column_stack((iu[mask], ju[mask])))
 
 
 @dataclass(frozen=True)
@@ -281,7 +285,7 @@ def kronecker(initiator: KroneckerInitiator, k: int, seed: int) -> Graph:
     rng = _rng(seed)
     iu, ju = np.triu_indices(n, 1)
     mask = rng.random(iu.size) < probs[iu, ju]
-    return Graph(n, _edges_from_mask(iu, ju, mask))
+    return Graph(n, np.column_stack((iu[mask], ju[mask])))
 
 
 @dataclass(frozen=True)
@@ -301,7 +305,7 @@ class ModelConfig:
         if not 0 <= self.seed <= _MASK64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         object.__setattr__(self, "params", dict(self.params))
-        if self.model == "kg":
+        if self.model == "kg" and "k" in self.params:
             k = int(self.params["k"])
             if self.n != (1 << k):
                 raise ValueError(f"Kronecker graph needs n = 2**k, got n={self.n}, k={k}")
@@ -314,6 +318,9 @@ class ModelConfig:
 def generate(cfg: ModelConfig) -> Graph:
     """Draw one raw sample for the configuration (no connectivity retry)."""
     p = cfg.params
+    missing = [name for name in _MODEL_PARAMS[cfg.model] if name not in p]
+    if missing:
+        raise ValueError(f"model {cfg.model!r} is missing parameter {', '.join(missing)}")
     if cfg.model == "er":
         return erdos_renyi(cfg.n, float(p["p"]), cfg.seed)
     if cfg.model == "sf":

@@ -2,7 +2,10 @@
 
 Vertices are dense integers ``0..n-1``. A :class:`Graph` is immutable once
 built, so instances can be shared freely between threads or worker
-processes. Two text formats are supported:
+processes. It holds its edge set once, as a sorted read-only ``(m, 2)``
+int64 array; degrees, adjacency matrix and connectivity are computed from
+it on first use and cached, so the generators' retry check and the
+measures' connectivity guards share one BFS. Two text formats are supported:
 
 * edge lists -- one ``"u v"`` line per edge, smaller index first, with an
   optional ``# n=<count>`` first line that preserves isolated vertices;
@@ -16,9 +19,9 @@ processes. Two text formats are supported:
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,6 +29,10 @@ import numpy as np
 UNREACHABLE = -1
 
 _HEADER_RE = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
+# Largest vertex count whose edge keys u * n + v fit in an int64.
+_MAX_N = isqrt(np.iinfo(np.int64).max)
+# Big-endian bit positions within one 6-bit graph6 group.
+_BIT_SHIFTS = np.arange(5, -1, -1)
 
 
 class GraphError(ValueError):
@@ -37,29 +44,44 @@ class FormatError(ValueError):
 
 
 class Graph:
-    """Immutable simple undirected unweighted graph on vertices 0..n-1."""
+    """Immutable simple undirected unweighted graph on vertices 0..n-1.
+
+    ``edges`` may be any iterable of vertex pairs or an ``(m, 2)`` array.
+    """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         n = int(n)
         if n < 1:
             raise GraphError(f"vertex count must be >= 1, got {n}")
-        seen: set[tuple[int, int]] = set()
-        canon: list[tuple[int, int]] = []
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise GraphError(f"duplicate edge {e}")
-            seen.add(e)
-            canon.append(e)
-        canon.sort()
+        if n > _MAX_N:
+            raise GraphError(f"vertex count {n} exceeds the limit of {_MAX_N}")
+        e = np.asarray(
+            edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64
+        )
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise GraphError(f"edges must be vertex pairs, got shape {e.shape}")
+        canon = np.sort(e, axis=1)
+        lo, hi = canon[:, 0], canon[:, 1]
+        if lo.min(initial=0) < 0 or hi.max(initial=0) >= n:
+            u, v = e[(lo < 0) | (hi >= n)][0]
+            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+        loops = lo == hi
+        if loops.any():
+            raise GraphError(f"self-loop at vertex {lo[loops][0]}")
+        key = lo * n + hi
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        repeats = key[1:] == key[:-1]
+        if repeats.any():
+            # The first pair in input order that repeats an earlier one.
+            k = order[1:][repeats].min()
+            raise GraphError(f"duplicate edge ({lo[k]}, {hi[k]})")
+        canon = canon[order]
+        canon.flags.writeable = False
         self._n = n
-        self._edges = tuple(canon)
-        self._edge_set = seen
+        self._edges = canon
 
     @property
     def n(self) -> int:
@@ -70,20 +92,17 @@ class Graph:
         return len(self._edges)
 
     @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
+    def edges(self) -> np.ndarray:
+        """Sorted read-only ``(m, 2)`` int64 array, smaller index first."""
         return self._edges
 
     def has_edge(self, u: int, v: int) -> bool:
-        e = (u, v) if u < v else (v, u)
-        return e in self._edge_set
+        n = self._n
+        return 0 <= u < n and 0 <= v < n and bool(self.adjacency_matrix[u, v])
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self._n, dtype=np.int64)
-        if self._edges:
-            e = np.asarray(self._edges)
-            np.add.at(deg, e[:, 0], 1)
-            np.add.at(deg, e[:, 1], 1)
+        deg = np.bincount(self._edges.ravel(), minlength=self._n)
         deg.flags.writeable = False
         return deg
 
@@ -91,49 +110,47 @@ class Graph:
     def adjacency_matrix(self) -> np.ndarray:
         """Symmetric 0/1 matrix as float64 with zero diagonal (read-only)."""
         a = np.zeros((self._n, self._n))
-        if self._edges:
-            e = np.asarray(self._edges)
-            a[e[:, 0], e[:, 1]] = 1.0
-            a[e[:, 1], e[:, 0]] = 1.0
+        u, v = self._edges[:, 0], self._edges[:, 1]
+        a[u, v] = 1.0
+        a[v, u] = 1.0
         a.flags.writeable = False
         return a
 
     @cached_property
-    def neighbors(self) -> tuple[np.ndarray, ...]:
-        """Per-vertex sorted neighbor arrays."""
-        lists: list[list[int]] = [[] for _ in range(self._n)]
-        for u, v in self._edges:
-            lists[u].append(v)
-            lists[v].append(u)
-        return tuple(np.asarray(sorted(l), dtype=np.int64) for l in lists)
+    def connected(self) -> bool:
+        """True iff a frontier BFS from vertex 0 reaches all n vertices."""
+        if self.m < self._n - 1:  # too few edges; skip building the matrix
+            return False
+        a = self.adjacency_matrix
+        seen = np.zeros(self._n, dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = a[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        return bool(seen.all())
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Return the graph with vertex v renamed to perm[v]."""
-        perm = [int(p) for p in perm]
-        if sorted(perm) != list(range(self._n)):
+        perm = np.asarray(perm, dtype=np.int64)
+        if not np.array_equal(np.sort(perm), np.arange(self._n)):
             raise GraphError("relabeling is not a permutation of 0..n-1")
-        return Graph(self._n, [(perm[u], perm[v]) for u, v in self._edges])
+        return Graph(self._n, perm[self._edges])
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._n == other._n and self._edges == other._edges
+        return self._n == other._n and np.array_equal(self._edges, other._edges)
 
     def __hash__(self):
-        return hash((self._n, self._edges))
+        return hash((self._n, self._edges.tobytes()))
 
     def __repr__(self):
         return f"Graph(n={self._n}, m={self.m})"
 
-    # Keep pickles lean: derived arrays are rebuilt on demand.
-    def __getstate__(self):
-        return (self._n, self._edges)
-
-    def __setstate__(self, state):
-        n, edges = state
-        self._n = n
-        self._edges = edges
-        self._edge_set = set(edges)
+    def __reduce__(self):
+        # Rebuild through __init__: the copy is read-only and carries no caches.
+        return Graph, (self._n, self._edges)
 
 
 @dataclass(frozen=True)
@@ -179,25 +196,8 @@ def bfs_all_pairs(g: Graph) -> GeodesicData:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff a BFS from vertex 0 reaches all n vertices."""
-    n = g.n
-    if n == 1:
-        return True
-    if g.m < n - 1:
-        return False
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    reached = 1
-    neighbors = g.neighbors
-    while queue:
-        v = queue.popleft()
-        for w in neighbors[v]:
-            if not seen[w]:
-                seen[w] = True
-                reached += 1
-                queue.append(int(w))
-    return reached == n
+    """True iff a BFS from vertex 0 reaches all n vertices (cached per graph)."""
+    return g.connected
 
 
 def parse_edge_list(text: str, n_hint: int | None = None) -> Graph:
@@ -256,13 +256,8 @@ def parse_edge_list(text: str, n_hint: int | None = None) -> Graph:
 def format_edge_list(g: Graph) -> str:
     """Canonical edge-list text: header line, then one sorted edge per line."""
     lines = [f"# n={g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
+    lines.extend(f"{u} {v}" for u, v in g.edges.tolist())
     return "\n".join(lines) + "\n"
-
-
-def _pair_order(n: int) -> list[tuple[int, int]]:
-    # graph6 bit order: upper triangle by columns.
-    return [(i, j) for j in range(1, n) for i in range(j)]
 
 
 def parse_graph6(record: str) -> Graph:
@@ -270,15 +265,13 @@ def parse_graph6(record: str) -> Graph:
     record = record.strip()
     if not record:
         raise FormatError("empty graph6 record")
-    vals = []
-    for ch in record:
-        o = ord(ch)
-        if o < 63 or o > 126:
-            raise FormatError(f"graph6 byte {o} outside printable range 63..126")
-        vals.append(o - 63)
+    vals = np.array([ord(ch) for ch in record]) - 63
+    bad = np.flatnonzero((vals < 0) | (vals > 63))
+    if bad.size:
+        raise FormatError(f"graph6 byte {vals[bad[0]] + 63} outside printable range 63..126")
     if vals[0] == 63:
         raise FormatError("long-form graph6 (n > 62) is not supported")
-    n = vals[0]
+    n = int(vals[0])
     if n == 0:
         raise FormatError("graph6 record encodes an empty vertex set")
     nbits = n * (n - 1) // 2
@@ -287,13 +280,12 @@ def parse_graph6(record: str) -> Graph:
         raise FormatError(
             f"graph6 payload has {len(vals) - 1} bytes, expected {nbytes} for n={n}"
         )
-    bits = []
-    for v in vals[1:]:
-        bits.extend((v >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    bits = ((vals[1:, None] >> _BIT_SHIFTS) & 1).ravel()
+    if bits[nbits:].any():
         raise FormatError("nonzero padding bits in graph6 record")
-    edges = [pair for pair, bit in zip(_pair_order(n), bits) if bit]
-    return Graph(n, edges)
+    # graph6 bit order, the upper triangle by columns, is the lower triangle by rows.
+    j, i = np.tril_indices(n, -1)
+    return Graph(n, np.column_stack((i, j))[bits[:nbits] == 1])
 
 
 def format_graph6(g: Graph) -> str:
@@ -301,13 +293,7 @@ def format_graph6(g: Graph) -> str:
     n = g.n
     if n > 62:
         raise FormatError(f"short-form graph6 supports n <= 62, got n={n}")
-    bits = [1 if g.has_edge(i, j) else 0 for i, j in _pair_order(n)]
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(n + 63)]
-    for k in range(0, len(bits), 6):
-        group = 0
-        for b in bits[k:k + 6]:
-            group = (group << 1) | b
-        chars.append(chr(group + 63))
-    return "".join(chars)
+    bits = g.adjacency_matrix[np.tril_indices(n, -1)].astype(np.int64)  # graph6 order
+    bits = np.concatenate((bits, np.zeros(-bits.size % 6, dtype=np.int64)))
+    groups = bits.reshape(-1, 6) @ (1 << _BIT_SHIFTS) + 63
+    return chr(n + 63) + "".join(map(chr, groups.tolist()))

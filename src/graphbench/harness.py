@@ -391,8 +391,9 @@ def run_experiment(
     ``min(workers, os.cpu_count(), samples)`` processes, or in this
     process when that is 1. Aggregation follows canonical sample order, so
     outputs do not depend on scheduling or the worker count. Sample
-    records an earlier run left in ``output_dir`` are removed, so the
-    directory holds this run's records only.
+    records and roll-up tables an earlier run left in ``output_dir`` are
+    removed, so the directory holds this run's outputs only; the tables
+    are not written when no sample succeeds.
     """
     out_dir = Path(plan.output_dir)
     samples_dir = out_dir / "samples"
@@ -411,8 +412,9 @@ def run_experiment(
     else:
         results = list(map(run, records, graph6s))
 
-    for stale in samples_dir.glob("cell*_s*.json"):
-        stale.unlink()
+    tables = [out_dir / name for name in TABLE_FILES.values()]
+    for stale in [*samples_dir.glob("cell*_s*.json"), *tables]:
+        stale.unlink(missing_ok=True)
     (out_dir / "manifest.json").write_text(
         json.dumps(_manifest(plan), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -422,7 +424,8 @@ def run_experiment(
             json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
-    write_all_tables(results, out_dir, confidence=plan.confidence)
+    if any(result.error is None for result in results):
+        write_all_tables(results, out_dir, confidence=plan.confidence)
     return results
 
 

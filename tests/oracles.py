@@ -135,11 +135,12 @@ def bf_is_isomorphic(g1, g2):
 
     if g1.n != g2.n or g1.m != g2.m:
         return False
-    edges2 = set(g2.edges)
+    edges1 = g1.edges.tolist()
+    edges2 = set(map(tuple, g2.edges.tolist()))
     for perm in permutations(range(g1.n)):
         mapped = {
             (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
-            for u, v in g1.edges
+            for u, v in edges1
         }
         if mapped == edges2:
             return True

@@ -173,6 +173,19 @@ class TestCommunityStructure:
         assert g.m == 0
         assert member.shape == (30, 4)
 
+    def test_edges_follow_memberships_of_same_seed(self):
+        member = community_memberships(30, 0.3, 4, 77).astype(int)
+        g = community_structure(30, 0.3, 1.0, 4, 77)
+        shared = (member @ member.T > 0) & ~np.eye(30, dtype=bool)
+        assert np.array_equal(g.adjacency_matrix.astype(bool), shared)
+
+    @pytest.mark.parametrize("p_c, c", [(1.5, 2), (-0.5, 2), (0.5, 0)])
+    def test_membership_parameters_validated(self, p_c, c):
+        with pytest.raises(ValueError):
+            community_structure(10, p_c, 0.5, c, 0)
+        with pytest.raises(ValueError):
+            community_memberships(10, p_c, c, 0)
+
 
 class TestKronecker:
     def test_power_sets_size(self):
@@ -302,6 +315,12 @@ class TestModelConfig:
     def test_kg_size_checked(self):
         with pytest.raises(ValueError, match="2\\*\\*k"):
             ModelConfig(model="kg", n=100, params={"k": 5, "initiator": (1, 1, 1, 1)})
+
+    def test_missing_parameter_named(self):
+        with pytest.raises(ValueError, match="missing parameter p_c$"):
+            generate(ModelConfig(model="cs", n=10, params={"p": 0.5, "c": 2}))
+        with pytest.raises(ValueError, match="missing parameter k$"):
+            generate(ModelConfig(model="kg", n=8, params={"initiator": (1, 1, 1, 1)}))
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
 class TestGraph:
     def test_canonical_edges(self):
         g = Graph(4, [(2, 0), (3, 1)])
-        assert g.edges == ((0, 2), (1, 3))
+        assert g.edges.tolist() == [[0, 2], [1, 3]]
         assert g.m == 2
 
     def test_self_loop_rejected(self):
@@ -35,6 +37,61 @@ class TestGraph:
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphError, match="out of range"):
             Graph(2, [(0, 2)])
+
+    def test_input_forms_build_equal_graphs(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            n = int(rng.integers(1, 30))
+            iu, ju = np.triu_indices(n, 1)
+            mask = rng.random(iu.size) < 0.3
+            pairs = np.column_stack((iu[mask], ju[mask]))
+            # Shuffled rows with some pairs reversed.
+            shuffled = pairs[rng.permutation(len(pairs))]
+            flip = rng.random(len(pairs)) < 0.5
+            shuffled[flip] = shuffled[flip][:, ::-1]
+            g = Graph(n, shuffled)
+            assert g == Graph(n, zip(iu[mask], ju[mask]))
+            assert g == Graph(n, [tuple(e) for e in pairs.tolist()])
+            assert np.array_equal(g.edges, pairs)
+            assert g.edges.dtype == np.int64 and not g.edges.flags.writeable
+            shuffled[:] = 0  # the graph does not share the caller's array
+            assert np.array_equal(g.edges, pairs)
+        assert Graph(4, np.empty((0, 2), dtype=np.int64)) == Graph(4) == Graph(4, [])
+
+    def test_rejections_on_array_input(self):
+        cases = [
+            ([[0, 1], [2, 2]], "self-loop at vertex 2"),
+            ([[0, 1], [1, 2], [2, 1]], r"duplicate edge \(1, 2\)"),
+            ([[0, 1], [1, 3]], r"edge \(1, 3\) out of range for n=3"),
+            ([[0, 1], [-1, 2]], r"edge \(-1, 2\) out of range for n=3"),
+        ]
+        for pairs, message in cases:
+            for edges in (np.asarray(pairs), [tuple(e) for e in pairs]):
+                with pytest.raises(GraphError, match=message):
+                    Graph(3, edges)
+        with pytest.raises(GraphError, match="exceeds the limit"):
+            Graph(2**40, [(0, 2**39)])
+
+    def test_has_edge_outside_vertex_range(self):
+        assert P3.has_edge(1, 2) and P3.has_edge(2, 1)
+        assert not P3.has_edge(0, 2) and not P3.has_edge(1, 1)
+        # -1 must not wrap around to vertex 2.
+        assert not P3.has_edge(-1, 1) and not P3.has_edge(1, -1)
+        assert not P3.has_edge(3, 1) and not P3.has_edge(1, 3)
+
+    def test_pickle_round_trip(self):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            n = int(rng.integers(1, 30))
+            iu, ju = np.triu_indices(n, 1)
+            mask = rng.random(iu.size) < 0.3
+            g = Graph(n, zip(iu[mask], ju[mask]))
+            size = len(pickle.dumps(g))
+            _ = g.adjacency_matrix, g.connected  # the caches are not pickled
+            assert len(pickle.dumps(g)) == size
+            copy = pickle.loads(pickle.dumps(g))
+            assert copy == g and copy.connected == g.connected
+            assert not copy.edges.flags.writeable
 
     def test_degree_sum_is_twice_edge_count(self):
         rng = np.random.default_rng(7)
@@ -52,7 +109,7 @@ class TestGraph:
 
     def test_relabel(self):
         g = P3.relabel([2, 0, 1])
-        assert g.edges == ((0, 1), (0, 2))
+        assert g.edges.tolist() == [[0, 1], [0, 2]]
 
 
 class TestEdgeList:
@@ -194,3 +251,16 @@ class TestConnected:
         assert is_connected(P3)
         assert is_connected(Graph(1))
         assert not is_connected(parse_graph6("A?"))
+
+    def test_matches_bfs_reachability(self):
+        rng = np.random.default_rng(19)
+        outcomes = set()
+        for n in range(1, 41):
+            iu, ju = np.triu_indices(n, 1)
+            for p in (0.05, 0.15, 0.4):
+                mask = rng.random(iu.size) < p
+                g = Graph(n, zip(iu[mask], ju[mask]))
+                expected = not np.any(bfs_all_pairs(g).dist == UNREACHABLE)
+                assert is_connected(g) == expected
+                outcomes.add(expected)
+        assert outcomes == {True, False}

@@ -408,6 +408,25 @@ class TestCli:
         assert failed[0].startswith("cell 0 er n=5: 2/2 samples failed; ")
         assert "no connected sample within 3 retries" in failed[0]
 
+    def test_all_failed_run(self, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_tiny_config(out_dir)))
+        assert cli_main(["experiment", "--config", str(config)]) == 0
+        assert len(list(out_dir.glob("*.csv"))) == len(TABLE_FILES)
+        config.write_text(json.dumps(_tiny_config(
+            out_dir, models=[{"model": "er", "n": [5], "p": [0.0]}], max_retries=3,
+        )))
+        capsys.readouterr()
+        # Every sample fails: the run reports its cells, exits 1 and leaves
+        # no roll-up of the earlier run behind.
+        assert cli_main(["experiment", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "cell 0 er n=5: 2/2 samples failed; " in err
+        assert "done: 0/2 samples ok; no tables written" in err
+        assert not list(out_dir.glob("*.csv"))
+        assert len(list((out_dir / "samples").glob("*.json"))) == 2
+
     def test_out_of_memory_exit_code(self, monkeypatch, capsys):
         def generate(cfg):
             raise MemoryError("Unable to allocate 37.3 GiB")
@@ -431,6 +450,22 @@ class TestCli:
             "--out", str(tmp_path / "x.edges"),
         ])
         assert rc == 1
+
+    def test_generate_invalid_cs_parameter_exit_code(self, tmp_path, capsys):
+        rc = cli_main([
+            "generate", "--model", "cs", "--n", "10", "--param", "p_c=1.5",
+            "--param", "p=0.5", "--param", "c=2", "--out", str(tmp_path / "x.edges"),
+        ])
+        assert rc == 2
+        assert "membership probability must be in [0, 1]" in capsys.readouterr().err
+
+    def test_generate_missing_parameter_exit_code(self, tmp_path, capsys):
+        rc = cli_main(["generate", "--model", "cs", "--n", "10",
+                       "--out", str(tmp_path / "x.edges")])
+        assert rc == 2
+        assert "error: model 'cs' is missing parameter p_c, p, c" in (
+            capsys.readouterr().err
+        )
 
     def test_generate_kronecker(self, tmp_path, capsys):
         rc = cli_main([
