@@ -35,6 +35,7 @@ from .generators import (
 )
 from .graphs import FormatError, GraphError, format_edge_list, format_graph6, parse_edge_list
 from .harness import (
+    HEATMAP_FILE,
     ConfigError,
     correlation_matrix,
     emit_heatmap,
@@ -170,7 +171,7 @@ def _cmd_tables(args) -> int:
 def _cmd_heatmap(args) -> int:
     results = load_results(args.results)
     matrix = correlation_matrix(results)
-    out = args.out if args.out else str(Path(args.results) / "heatmap.svg")
+    out = args.out if args.out else str(Path(args.results) / HEATMAP_FILE)
     emit_heatmap(matrix, out)
     print(out, file=sys.stderr)
     return 0

@@ -87,10 +87,14 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed & _MASK64))
 
 
-def erdos_renyi(n: int, p: float, seed: int) -> Graph:
-    """Uniform random graph: each of the C(n,2) pairs kept with probability p."""
+def _check_edge_probability(p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
+
+
+def erdos_renyi(n: int, p: float, seed: int) -> Graph:
+    """Uniform random graph: each of the C(n,2) pairs kept with probability p."""
+    _check_edge_probability(p)
     rng = _rng(seed)
     iu, ju = np.triu_indices(n, 1)
     mask = rng.random(iu.size) < p
@@ -220,8 +224,7 @@ def community_structure(n: int, p_c: float, p: float, c: int, seed: int) -> Grap
     single edge trial with probability p. Pairs sharing none stay
     unconnected.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
+    _check_edge_probability(p)
     rng = _rng(seed)
     member = _draw_memberships(n, p_c, c, rng)
     shared = (member.astype(np.int64) @ member.T.astype(np.int64)) > 0
@@ -315,12 +318,22 @@ class ModelConfig:
         return f"{self.model}(n={self.n}, {inner}, seed={self.seed})"
 
 
-def generate(cfg: ModelConfig) -> Graph:
-    """Draw one raw sample for the configuration (no connectivity retry)."""
-    p = cfg.params
-    missing = [name for name in _MODEL_PARAMS[cfg.model] if name not in p]
+def _model_params(cfg: ModelConfig) -> Mapping[str, object]:
+    """The configuration's parameters, once every one its model reads is present."""
+    missing = [name for name in _MODEL_PARAMS[cfg.model] if name not in cfg.params]
     if missing:
         raise ValueError(f"model {cfg.model!r} is missing parameter {', '.join(missing)}")
+    return cfg.params
+
+
+def _cs_args(p: Mapping[str, object]) -> tuple[float, float, int]:
+    """``(p_c, p, c)`` in the order :func:`community_structure` takes them."""
+    return float(p["p_c"]), float(p["p"]), int(p["c"])
+
+
+def generate(cfg: ModelConfig) -> Graph:
+    """Draw one raw sample for the configuration (no connectivity retry)."""
+    p = _model_params(cfg)
     if cfg.model == "er":
         return erdos_renyi(cfg.n, float(p["p"]), cfg.seed)
     if cfg.model == "sf":
@@ -330,9 +343,7 @@ def generate(cfg: ModelConfig) -> Graph:
     if cfg.model == "gr":
         return geographical(cfg.n, float(p["kappa"]), cfg.seed)
     if cfg.model == "cs":
-        return community_structure(
-            cfg.n, float(p["p_c"]), float(p["p"]), int(p["c"]), cfg.seed
-        )
+        return community_structure(cfg.n, *_cs_args(p), cfg.seed)
     if cfg.model == "kg":
         initiator = KroneckerInitiator(
             name=str(p.get("initiator_name", "inline")),
@@ -350,14 +361,28 @@ def ensure_connected(
     Returns the first connected sample and the number of failed attempts
     before it (0 when the first draw succeeds). Attempt r uses seed
     ``mix64(cfg.seed, r)``.
+
+    A cs attempt on n >= 2 vertices first draws only its memberships, the
+    first stage of :func:`community_structure` under the attempt's seed; a
+    vertex in no community would be isolated, so the attempt is rejected
+    before the edges are drawn. Each attempt has its own seed, so skipping
+    a doomed one changes no accepted sample, retry count or error. The
+    parameters are checked first, in the order :func:`generate` checks
+    them, so invalid ones raise the same error as without the skip.
     """
     if max_retries < 1:
         raise ValueError(f"max_retries must be >= 1, got {max_retries}")
+    precheck = cfg.model == "cs" and cfg.n >= 2
+    if precheck:
+        p_c, p, c = _cs_args(_model_params(cfg))
+        _check_edge_probability(p)  # p_c and c are checked by _draw_memberships
     for retry in range(max_retries):
-        attempt = ModelConfig(
-            model=cfg.model, n=cfg.n, params=cfg.params, seed=mix64(cfg.seed, retry)
-        )
-        g = generate(attempt)
+        seed = mix64(cfg.seed, retry)
+        if precheck:
+            covered = _draw_memberships(cfg.n, p_c, c, _rng(seed)).any(axis=1)
+            if not covered.all():
+                continue
+        g = generate(ModelConfig(model=cfg.model, n=cfg.n, params=cfg.params, seed=seed))
         if is_connected(g):
             return g, retry
     raise GenerationError(
@@ -384,30 +409,6 @@ def _permutation_bit_sources(n: int) -> tuple[np.ndarray, np.ndarray]:
     return sources, weights
 
 
-def _connected_codes(n: int) -> np.ndarray:
-    """Ascending bit-codes of all connected labeled graphs on n vertices."""
-    npairs = n * (n - 1) // 2
-    codes = np.arange(1 << npairs, dtype=np.int64)
-    if n == 1:
-        return codes
-    shifts = np.arange(npairs - 1, -1, -1, dtype=np.int64)
-    bits = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    rows = np.zeros((codes.size, n), dtype=np.uint8)
-    for col, (i, j) in enumerate(pairs):
-        rows[:, i] |= bits[:, col] << j
-        rows[:, j] |= bits[:, col] << i
-    reach = np.ones(codes.size, dtype=np.uint8)
-    for _ in range(n - 1):
-        grown = reach.copy()
-        for v in range(n):
-            grown |= rows[:, v] * ((reach >> v) & 1)
-        if np.array_equal(grown, reach):
-            break
-        reach = grown
-    return codes[reach == (1 << n) - 1]
-
-
 def _code_to_graph(code: int, n: int) -> Graph:
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
     npairs = len(pairs)
@@ -418,41 +419,37 @@ def _code_to_graph(code: int, n: int) -> Graph:
 def enumerate_connected_nonisomorphic(n: int) -> list[Graph]:
     """One representative per isomorphism class of connected graphs, n <= 7.
 
-    All 2**C(n,2) edge subsets are enumerated, disconnected ones filtered,
-    and each class reduced to its minimum adjacency bit-string over all
-    vertex permutations. Representatives come back in ascending canonical
-    order.
+    Edge subsets are walked as adjacency bit-codes in ascending order. Each
+    code not yet met starts a class, and its orbit over all vertex
+    permutations is marked met, so every class is represented by its
+    minimum code. Connectivity is a class property, so only the
+    representatives are tested and the connected ones kept, in ascending
+    canonical order.
     """
     if not 1 <= n <= 7:
         raise ValueError(f"census supports 1 <= n <= 7, got {n}")
-    codes = _connected_codes(n)
     if n == 1:
         return [Graph(1)]
     sources, weights = _permutation_bit_sources(n)
     npairs = n * (n - 1) // 2
     shifts = np.arange(npairs - 1, -1, -1, dtype=np.int64)
-    alive = np.ones(codes.size, dtype=bool)
-    reps: list[int] = []
-    ptr = 0
+    alive = np.ones(1 << npairs, dtype=bool)
+    reps: list[Graph] = []
+    code = 0
     while True:
-        while ptr < codes.size and not alive[ptr]:
-            ptr += 1
-        if ptr >= codes.size:
+        code += int(np.argmax(alive[code:]))
+        if not alive[code]:
             break
-        rep = int(codes[ptr])
-        reps.append(rep)
-        bits = (rep >> shifts) & 1
-        orbit = np.unique(bits[sources] @ weights)
-        pos = np.searchsorted(codes, orbit)
-        if not np.array_equal(codes[pos], orbit):
-            raise AssertionError("orbit member missing from connected enumeration")
-        alive[pos] = False
+        alive[((code >> shifts) & 1)[sources] @ weights] = False
+        g = _code_to_graph(code, n)
+        if g.connected:
+            reps.append(g)
     expected = CONNECTED_CLASS_COUNTS[n - 1]
     if len(reps) != expected:
         raise AssertionError(
             f"census found {len(reps)} classes on {n} vertices, expected {expected}"
         )
-    return [_code_to_graph(code, n) for code in reps]
+    return reps
 
 
 def load_graph6_corpus(path) -> list[Graph]:

@@ -3,9 +3,11 @@
 Vertices are dense integers ``0..n-1``. A :class:`Graph` is immutable once
 built, so instances can be shared freely between threads or worker
 processes. It holds its edge set once, as a sorted read-only ``(m, 2)``
-int64 array; degrees, adjacency matrix and connectivity are computed from
-it on first use and cached, so the generators' retry check and the
-measures' connectivity guards share one BFS. Two text formats are supported:
+int64 array; degrees, adjacency matrix, connectivity and the all-pairs
+geodesics are computed from it on first use and cached, so the generators'
+retry check and the measures' connectivity guards share one BFS, and
+closeness, eccentricity and betweenness share one all-sources BFS. Two text
+formats are supported:
 
 * edge lists -- one ``"u v"`` line per edge, smaller index first, with an
   optional ``# n=<count>`` first line that preserves isolated vertices;
@@ -130,6 +132,33 @@ class Graph:
             seen |= frontier
         return bool(seen.all())
 
+    @cached_property
+    def geodesics(self) -> GeodesicData:
+        """Breadth-first distances and geodesic counts from every source.
+
+        Runs all sources simultaneously: at each level the frontier's path
+        counts are pushed one step through the adjacency matrix, so the
+        work per level is a single n-by-n matrix product.
+        """
+        n = self._n
+        a = self.adjacency_matrix
+        dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
+        sigma = np.zeros((n, n))
+        np.fill_diagonal(dist, 0)
+        np.fill_diagonal(sigma, 1.0)
+        frontier = np.eye(n, dtype=bool)
+        level = 0
+        while frontier.any():
+            arriving = (sigma * frontier) @ a
+            newly = (arriving > 0) & (dist == UNREACHABLE)
+            level += 1
+            dist[newly] = level
+            sigma[newly] = arriving[newly]
+            frontier = newly
+        dist.flags.writeable = False
+        sigma.flags.writeable = False
+        return GeodesicData(dist=dist, sigma=sigma)
+
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Return the graph with vertex v renamed to perm[v]."""
         perm = np.asarray(perm, dtype=np.int64)
@@ -169,30 +198,8 @@ class GeodesicData:
 
 
 def bfs_all_pairs(g: Graph) -> GeodesicData:
-    """Breadth-first distances and geodesic counts from every source.
-
-    Runs all sources simultaneously: at each level the frontier's path
-    counts are pushed one step through the adjacency matrix, so the work
-    per level is a single n-by-n matrix product.
-    """
-    n = g.n
-    a = g.adjacency_matrix
-    dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
-    sigma = np.zeros((n, n))
-    np.fill_diagonal(dist, 0)
-    np.fill_diagonal(sigma, 1.0)
-    frontier = np.eye(n, dtype=bool)
-    level = 0
-    while frontier.any():
-        arriving = (sigma * frontier) @ a
-        newly = (arriving > 0) & (dist == UNREACHABLE)
-        level += 1
-        dist[newly] = level
-        sigma[newly] = arriving[newly]
-        frontier = newly
-    dist.flags.writeable = False
-    sigma.flags.writeable = False
-    return GeodesicData(dist=dist, sigma=sigma)
+    """All-pairs hop distances and geodesic counts (cached per graph)."""
+    return g.geodesics
 
 
 def is_connected(g: Graph) -> bool:

@@ -70,6 +70,7 @@ TABLE_FILES = {
     "granularity_by_size": "granularity_by_size.csv",
     "best": "best.csv",
 }
+HEATMAP_FILE = "heatmap.svg"
 
 # Expansion order of each model's grid parameters (outermost first).
 _GRID_PARAMS = {
@@ -391,9 +392,9 @@ def run_experiment(
     ``min(workers, os.cpu_count(), samples)`` processes, or in this
     process when that is 1. Aggregation follows canonical sample order, so
     outputs do not depend on scheduling or the worker count. Sample
-    records and roll-up tables an earlier run left in ``output_dir`` are
-    removed, so the directory holds this run's outputs only; the tables
-    are not written when no sample succeeds.
+    records, roll-up tables and the heatmap an earlier run left in
+    ``output_dir`` are removed, so the directory holds this run's outputs
+    only; the tables are not written when no sample succeeds.
     """
     out_dir = Path(plan.output_dir)
     samples_dir = out_dir / "samples"
@@ -413,7 +414,7 @@ def run_experiment(
         results = list(map(run, records, graph6s))
 
     tables = [out_dir / name for name in TABLE_FILES.values()]
-    for stale in [*samples_dir.glob("cell*_s*.json"), *tables]:
+    for stale in [*samples_dir.glob("cell*_s*.json"), *tables, out_dir / HEATMAP_FILE]:
         stale.unlink(missing_ok=True)
     (out_dir / "manifest.json").write_text(
         json.dumps(_manifest(plan), indent=2, sort_keys=True) + "\n", encoding="utf-8"

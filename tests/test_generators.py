@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from graphbench import (
     small_world,
     splitmix64,
 )
+from graphbench.generators import DEFAULT_MAX_RETRIES
 
 
 class TestSeeds:
@@ -212,6 +215,17 @@ class TestKronecker:
             KroneckerInitiator("bad", (0.5, 0.5, 1.5, 0.5))
 
 
+def _reference_ensure_connected(cfg, max_retries):
+    """The retry loop with no early rejection: generate, then test connectivity."""
+    for retry in range(max_retries):
+        g = generate(ModelConfig(cfg.model, cfg.n, cfg.params, mix64(cfg.seed, retry)))
+        if is_connected(g):
+            return g, retry
+    raise GenerationError(
+        f"no connected sample within {max_retries} retries for {cfg.describe()}"
+    )
+
+
 class TestEnsureConnected:
     def test_dense_er_connects_first_try(self):
         for seed in range(5):
@@ -233,6 +247,40 @@ class TestEnsureConnected:
     def test_config_determinism(self):
         cfg = ModelConfig(model="er", n=60, params={"p": 0.08}, seed=9)
         assert ensure_connected(cfg) == ensure_connected(cfg)
+
+    @pytest.mark.parametrize("seed, failed", [(0, 17), (1, 20)])
+    def test_cs_matches_reference_after_failed_attempts(self, seed, failed):
+        # The failed attempts include both kinds: a vertex in no community,
+        # and every vertex covered but the graph still disconnected.
+        cfg = ModelConfig("cs", 60, {"p_c": 0.1, "p": 0.2, "c": 30}, seed)
+        expected = _reference_ensure_connected(cfg, DEFAULT_MAX_RETRIES)
+        assert ensure_connected(cfg) == expected
+        assert expected[1] == failed
+
+    def test_cs_budget_error_matches_reference(self):
+        cfg = ModelConfig("cs", 60, {"p_c": 0.1, "p": 0.1, "c": 30}, 0)
+        with pytest.raises(GenerationError) as expected:
+            _reference_ensure_connected(cfg, 40)
+        with pytest.raises(GenerationError) as got:
+            ensure_connected(cfg, max_retries=40)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("params", [
+        {"p_c": 0.1, "p": 1.5, "c": 2},  # every attempt leaves a vertex uncovered
+        {"p": 0.5, "c": 2},
+        {},
+        {"p_c": 1.5, "p": 0.5, "c": 2},
+        {"p_c": 0.1, "p": 0.5, "c": 0},
+        {"p_c": 1.5, "p": 1.5, "c": 0},
+    ])
+    def test_cs_invalid_parameters_raise_as_generate(self, params):
+        cfg = ModelConfig("cs", 100, params, 3)
+        with pytest.raises(ValueError) as expected:
+            generate(cfg)
+        with pytest.raises(ValueError) as got:
+            ensure_connected(cfg)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
 
 
 class TestGeneratedGraphsAreSimple:
@@ -272,6 +320,35 @@ class TestCensus:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             enumerate_connected_nonisomorphic(8)
+
+    @pytest.mark.parametrize("n, digest", [
+        (5, "0e90fd086c9d638cd8fdc133931d35474b837a0a953beae89ae1015692920f61"),
+        (6, "d0b7bbaf90fd1e431c1ae94492b7f36644d7c3e78069161158a3179ab145d0b2"),
+        (7, "f39a11e21a91db326d834f8e3bf6d5ae85c0f04d6077d08cfbaeecbc572b0a93"),
+    ])
+    def test_pinned_digest(self, n, digest):
+        # sha256 of `graphbench enumerate --n N` stdout: classes and their order.
+        text = "".join(format_graph6(g) + "\n" for g in enumerate_connected_nonisomorphic(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_matches_networkx_atlas(self):
+        nx = pytest.importorskip("networkx")
+
+        def degree_sequence(h):
+            return tuple(sorted(d for _, d in h.degree()))
+
+        atlas: dict[tuple, list] = {}  # connected atlas graphs by degree sequence
+        for h in nx.graph_atlas_g():
+            if h.number_of_nodes() and nx.is_connected(h):
+                atlas.setdefault(degree_sequence(h), []).append(h)
+        for n in range(1, 8):
+            census = enumerate_connected_nonisomorphic(n)
+            assert len(census) == sum(len(v) for k, v in atlas.items() if len(k) == n)
+            for g in census:
+                h = nx.empty_graph(g.n)
+                h.add_edges_from(g.edges.tolist())
+                bucket = atlas.get(degree_sequence(h), [])
+                assert sum(nx.is_isomorphic(h, a) for a in bucket) == 1, g.edges
 
 
 class TestCorpusLoader:

@@ -8,6 +8,7 @@ from graphbench import (
     GraphError,
     FormatError,
     UNREACHABLE,
+    all_measures,
     bfs_all_pairs,
     format_edge_list,
     format_graph6,
@@ -87,9 +88,10 @@ class TestGraph:
             mask = rng.random(iu.size) < 0.3
             g = Graph(n, zip(iu[mask], ju[mask]))
             size = len(pickle.dumps(g))
-            _ = g.adjacency_matrix, g.connected  # the caches are not pickled
+            _ = g.adjacency_matrix, g.connected, g.geodesics  # caches are not pickled
             assert len(pickle.dumps(g)) == size
             copy = pickle.loads(pickle.dumps(g))
+            assert "geodesics" not in vars(copy)
             assert copy == g and copy.connected == g.connected
             assert not copy.edges.flags.writeable
 
@@ -244,6 +246,26 @@ class TestBfs:
                 dist, sigma = bf_bfs(adj, s)
                 assert np.array_equal(geo.dist[s], dist)
                 assert np.array_equal(geo.sigma[s], sigma)
+
+    def test_computed_once_per_graph(self):
+        geo = bfs_all_pairs(P3)
+        assert bfs_all_pairs(P3) is geo and P3.geodesics is geo
+        assert not geo.dist.flags.writeable and not geo.sigma.flags.writeable
+        with pytest.raises(ValueError):
+            geo.dist[0, 2] = 1
+
+    def test_cache_matches_fresh_copy_after_measures(self):
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            n = int(rng.integers(2, 40))
+            iu, ju = np.triu_indices(n, 1)
+            mask = rng.random(iu.size) < 0.3
+            g = Graph(n, zip(iu[mask], ju[mask]))
+            if is_connected(g):  # the measures read the cached geodesics first
+                all_measures(g, ("closeness", "eccentricity", "betweenness"))
+            fresh = bfs_all_pairs(Graph(n, g.edges.tolist()))
+            assert np.array_equal(bfs_all_pairs(g).dist, fresh.dist)
+            assert np.array_equal(bfs_all_pairs(g).sigma, fresh.sigma)
 
 
 class TestConnected:

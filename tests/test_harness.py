@@ -177,6 +177,14 @@ class TestRun:
             _tiny_config(tmp_path / "out", samples_per_cell=2, metrics=metrics)))
         assert len(load_results(tmp_path / "out")) == 2
 
+    def test_rerun_removes_stale_heatmap(self, tmp_path):
+        out = tmp_path / "out"
+        run_experiment(plan_experiments(_tiny_config(out)))
+        assert cli_main(["heatmap", "--results", str(out)]) == 0
+        assert (out / "heatmap.svg").is_file()
+        run_experiment(plan_experiments(_tiny_config(out, base_seed=5)))
+        assert not (out / "heatmap.svg").exists()
+
     def test_pool_size_capped(self, tmp_path, monkeypatch):
         sizes = []
 
