@@ -10,7 +10,8 @@ Subcommands::
     tables      re-derive the roll-up CSVs from a results directory
     heatmap     render the pooled correlation matrix as an SVG
 
-Exit codes: 0 success, 1 partial sample failures, 2 configuration error
+Exit codes: 0 success, 1 partial sample failures, 2 configuration error,
+invalid input (such as a short or non-finite row given to ``correlate``)
 or an input too large to hold in memory.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -108,14 +110,29 @@ def _cmd_compute(args) -> int:
 
 def _cmd_correlate(args) -> int:
     with open(args.csv, newline="", encoding="utf-8") as handle:
-        rows = list(csv.DictReader(handle))
+        reader = csv.DictReader(handle)
+        rows = [(reader.line_num, row) for row in reader]
     if not rows:
         raise ConfigError(f"{args.csv}: no data rows")
     for col in (args.x, args.y):
-        if col not in rows[0]:
+        if col not in rows[0][1]:
             raise ConfigError(f"{args.csv}: no column named '{col}'")
-    x = [float(row[args.x]) for row in rows]
-    y = [float(row[args.y]) for row in rows]
+    x, y = [], []
+    for line, row in rows:
+        for col, values in ((args.x, x), (args.y, y)):
+            raw = row[col]
+            if raw is None:
+                raise ConfigError(f"{args.csv}: line {line}: no value in column '{col}'")
+            try:
+                value = float(raw)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"{args.csv}: line {line}: column '{col}' is not a finite "
+                    f"number: {raw!r}"
+                )
+            values.append(value)
     print(f"{kendall_tau_b(x, y):.6f}")
     return 0
 

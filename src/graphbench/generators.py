@@ -390,30 +390,17 @@ def ensure_connected(
     )
 
 
-def _permutation_bit_sources(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For every vertex permutation, where each upper-triangle bit comes from.
+def _permutation_bit_sources(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """For every vertex permutation, where each bit of a pair code comes from.
 
-    Bits are indexed in graph6 column order; returns (sources, weights)
-    with sources shaped (n!, n*(n-1)/2) and big-endian bit weights.
+    ``(i[k], j[k])`` is the k-th pair in code order; returns an
+    ``(n!, len(i))`` array whose row for a permutation maps each pair to
+    the code position of its image.
     """
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    pair_index = {pair: idx for idx, pair in enumerate(pairs)}
-    perms = list(itertools.permutations(range(n)))
-    sources = np.empty((len(perms), len(pairs)), dtype=np.int64)
-    for row, perm in enumerate(perms):
-        for col, (i, j) in enumerate(pairs):
-            a, b = perm[i], perm[j]
-            sources[row, col] = pair_index[(a, b) if a < b else (b, a)]
-    npairs = len(pairs)
-    weights = (1 << np.arange(npairs - 1, -1, -1, dtype=np.int64)) if npairs else np.zeros(0, dtype=np.int64)
-    return sources, weights
-
-
-def _code_to_graph(code: int, n: int) -> Graph:
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    npairs = len(pairs)
-    edges = [pairs[idx] for idx in range(npairs) if (code >> (npairs - 1 - idx)) & 1]
-    return Graph(n, edges)
+    index = np.zeros((n, n), dtype=np.int64)
+    index[i, j] = index[j, i] = np.arange(i.size)
+    perms = np.array(list(itertools.permutations(range(n))))
+    return index[perms[:, i], perms[:, j]]
 
 
 def enumerate_connected_nonisomorphic(n: int) -> list[Graph]:
@@ -430,9 +417,12 @@ def enumerate_connected_nonisomorphic(n: int) -> list[Graph]:
         raise ValueError(f"census supports 1 <= n <= 7, got {n}")
     if n == 1:
         return [Graph(1)]
-    sources, weights = _permutation_bit_sources(n)
-    npairs = n * (n - 1) // 2
+    j, i = np.tril_indices(n, -1)  # graph6 order: the upper triangle by columns
+    pairs = np.column_stack((i, j))
+    npairs = i.size
+    sources = _permutation_bit_sources(n, i, j)
     shifts = np.arange(npairs - 1, -1, -1, dtype=np.int64)
+    weights = 1 << shifts  # big-endian: the first pair is the top bit
     alive = np.ones(1 << npairs, dtype=bool)
     reps: list[Graph] = []
     code = 0
@@ -440,8 +430,9 @@ def enumerate_connected_nonisomorphic(n: int) -> list[Graph]:
         code += int(np.argmax(alive[code:]))
         if not alive[code]:
             break
-        alive[((code >> shifts) & 1)[sources] @ weights] = False
-        g = _code_to_graph(code, n)
+        bits = (code >> shifts) & 1
+        alive[bits[sources] @ weights] = False
+        g = Graph(n, pairs[bits == 1])
         if g.connected:
             reps.append(g)
     expected = CONNECTED_CLASS_COUNTS[n - 1]

@@ -256,7 +256,11 @@ def plan_experiments(config) -> ExperimentPlan:
         raise ConfigError("config key 'metrics' must name at least one measure")
     output_dir = config.get("output_dir", "results")
     confidence = float(config.get("confidence", _DEFAULT_CONFIDENCE))
+    if not 0.0 < confidence < 1.0:
+        raise ConfigError(f"config key 'confidence' must be in (0, 1), got {confidence}")
     max_retries = int(config.get("max_retries", DEFAULT_MAX_RETRIES))
+    if max_retries < 1:
+        raise ConfigError(f"config key 'max_retries' must be >= 1, got {max_retries}")
 
     initiators = None
     if config.get("kronecker_initiators_path"):
@@ -508,6 +512,14 @@ def _corpus_group(r: RunResult) -> str:
     return "nonisomorphic" if r.model == "nonisomorphic" else "complex_models"
 
 
+def _mean_cells(values, confidence) -> list[str]:
+    """A granularity mean and CI half-width at 2 decimals; the half-width
+    is empty for a single sample."""
+    if len(values) == 1:
+        return [_fmt(values[0], 2), ""]
+    return [_fmt(x, 2) for x in stats.mean_ci(values, confidence)]
+
+
 def _granularity_csv(good, confidence) -> str:
     groups: dict[str, list[RunResult]] = {"complex_models": [], "nonisomorphic": []}
     for r in good:
@@ -521,13 +533,7 @@ def _granularity_csv(good, confidence) -> str:
         cells = []
         for name in ("complex_models", "nonisomorphic"):
             values = [r.granularity[metric] for r in groups[name] if metric in r.granularity]
-            if not values:
-                cells.extend(["", ""])
-            elif len(values) == 1:
-                cells.extend([_fmt(values[0], 2), ""])
-            else:
-                mean, half = stats.mean_ci(values, confidence)
-                cells.extend([_fmt(mean, 2), _fmt(half, 2)])
+            cells.extend(_mean_cells(values, confidence) if values else ["", ""])
         lines.append(SHORT_LABELS[metric] + "," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -547,8 +553,7 @@ def _granularity_by_size_csv(good, confidence) -> str:
             ]
             if not values:
                 continue
-            mean = _fmt(float(sum(values) / len(values)), 2)
-            half = _fmt(stats.mean_ci(values, confidence)[1], 2) if len(values) >= 2 else ""
+            mean, half = _mean_cells(values, confidence)
             lines.append(f"{SHORT_LABELS[metric]},{name},{n},{mean},{half}")
     return "\n".join(lines) + "\n"
 

@@ -1,12 +1,16 @@
 """Rank correlation with tie correction, granularity, and CI aggregation.
 
-``kendall_tau_b`` counts every vertex pair exactly (the O(n^2) route,
-vectorized; cheap at workbench sizes) and applies the standard tie
-correction: concordant minus discordant over the geometric mean of the
-pair counts not tied in each variable. Pairs tied in both variables count
-toward neither. Degenerate inputs are pinned by convention: two constant
-vectors correlate at 1.0 (identical trivial rankings), exactly one
-constant vector yields 0.0. Both conventions are surfaced as
+``kendall_tau_b`` takes the sign matrices ``sx = sign(x_i - x_j)`` and
+``sy`` over all ordered vertex pairs (O(n^2), vectorized; cheap at
+workbench sizes) and returns ``sum(sx * sy) / sqrt(nnz(sx) * nnz(sy))``:
+concordant minus discordant pairs over the geometric mean of the pair
+counts not tied in each variable, which is the standard tie correction.
+Pairs tied in either variable add nothing to the numerator. Counting
+ordered pairs doubles all three integer sums, which cancels exactly.
+NaN and infinite inputs are rejected with :class:`ValueError`.
+Degenerate inputs are pinned by convention: two constant vectors
+correlate at 1.0 (identical trivial rankings), exactly one constant
+vector yields 0.0. Both conventions are surfaced as
 :data:`TAU_CONVENTIONS` so downstream reports can echo them.
 
 ``granularity`` is the percentage of distinct values after rounding to
@@ -42,23 +46,19 @@ def kendall_tau_b(x, y) -> float:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
         raise ValueError("need at least two observations")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("inputs must be finite (no NaN or inf)")
     x_const = bool(np.all(x == x[0]))
     y_const = bool(np.all(y == y[0]))
     if x_const and y_const:
         return TAU_CONVENTIONS["both_constant"]
     if x_const or y_const:
         return TAU_CONVENTIONS["one_constant"]
-    iu, ju = np.triu_indices(x.size, 1)
-    sx = np.sign(x[iu] - x[ju])
-    sy = np.sign(y[iu] - y[ju])
-    prod = sx * sy
-    concordant = int(np.count_nonzero(prod > 0))
-    discordant = int(np.count_nonzero(prod < 0))
-    tied_x_only = int(np.count_nonzero((sx == 0) & (sy != 0)))
-    tied_y_only = int(np.count_nonzero((sx != 0) & (sy == 0)))
-    cd = concordant + discordant
-    denom = np.sqrt(float(cd + tied_x_only) * float(cd + tied_y_only))
-    return (concordant - discordant) / denom
+    sx = np.sign(np.subtract.outer(x, x))
+    sy = np.sign(np.subtract.outer(y, y))
+    return float(np.vdot(sx, sy)) / np.sqrt(
+        float(np.count_nonzero(sx)) * float(np.count_nonzero(sy))
+    )
 
 
 def round6(value: float) -> decimal.Decimal:

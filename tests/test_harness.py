@@ -81,6 +81,19 @@ class TestPlanning:
             plan_experiments({"models": [{"model": "er", "n": [10], "p": [0.1]}],
                               "typo": 3})
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("max_retries", 0, "'max_retries' must be >= 1, got 0"),
+        ("max_retries", -3, "'max_retries' must be >= 1, got -3"),
+        ("confidence", 1.5, r"'confidence' must be in \(0, 1\), got 1.5"),
+        ("confidence", 0.0, r"'confidence' must be in \(0, 1\), got 0.0"),
+        ("confidence", 1, r"'confidence' must be in \(0, 1\), got 1.0"),
+    ], ids=["retries_0", "retries_negative", "confidence_1.5", "confidence_0",
+            "confidence_1"])
+    def test_invalid_run_settings_rejected(self, key, value, match):
+        with pytest.raises(ConfigError, match=match):
+            plan_experiments({"models": [{"model": "er", "n": [5], "p": [0.5]}],
+                              key: value})
+
     def test_kg_needs_initiators(self):
         with pytest.raises(ConfigError, match="kronecker_initiators_path"):
             plan_experiments({"models": [{"model": "kg", "k": [3]}]})
@@ -280,6 +293,10 @@ class TestTables:
         row = _table_lines(tmp_path / "out", "granularity")[1].split(",")
         assert row[1] != "" and row[2] == ""
         assert float(row[1]) == pytest.approx(results[0].granularity["betweenness"])
+        row = _table_lines(tmp_path / "out", "granularity_by_size")[1].split(",")
+        assert row[:3] == ["C_b", "complex_models", "20"]
+        assert row[3] != "" and row[4] == ""
+        assert float(row[3]) == pytest.approx(results[0].granularity["betweenness"])
 
     def test_best_columns_follow_family_order(self, mixed_dir):
         lines = _table_lines(mixed_dir, "best")
@@ -450,6 +467,36 @@ class TestCli:
         config.write_text(json.dumps({"models": [{"model": "zz"}]}))
         assert cli_main(["experiment", "--config", str(config)]) == 2
         assert cli_main(["experiment", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("key, value", [("max_retries", 0), ("confidence", 1.5)])
+    def test_invalid_run_setting_fails_before_any_work(self, tmp_path, capsys, key, value):
+        out_dir = tmp_path / "results"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_tiny_config(out_dir)))
+        assert cli_main(["experiment", "--config", str(config)]) == 0
+        before = {p.name: p.read_bytes() for p in out_dir.glob("*.csv")}
+        config.write_text(json.dumps(_tiny_config(out_dir, **{key: value})))
+        capsys.readouterr()
+        assert cli_main(["experiment", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: config key '{key}' must be")
+        # Nothing ran: the earlier run's tables are still there.
+        assert {p.name: p.read_bytes() for p in out_dir.glob("*.csv")} == before
+
+    @pytest.mark.parametrize("body, message", [
+        ("a,b\n1,2\n2\n3,1\n", "line 3: no value in column 'b'"),
+        ("a,b\n1,2\n2,3\n\n4\n", "line 5: no value in column 'b'"),
+        ("a,b\n1,2\n2,nan\n3,1\n4,5\n", "line 3: column 'b' is not a finite number: 'nan'"),
+        ("a,b\n1,2\n-inf,3\n", "line 3: column 'a' is not a finite number: '-inf'"),
+        ("a,b\n1,2\n2,x\n", "line 3: column 'b' is not a finite number: 'x'"),
+    ], ids=["short", "short_after_blank_line", "nan", "minus_inf", "not_a_number"])
+    def test_correlate_bad_row_exit_code(self, tmp_path, capsys, body, message):
+        path = tmp_path / "scores.csv"
+        path.write_text(body)
+        assert cli_main(["correlate", str(path), "--x", "a", "--y", "b"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
 
     def test_generate_unconnected_failure_exit_code(self, tmp_path):
         rc = cli_main([

@@ -5,7 +5,9 @@ from oracles import bf_kendall_tau_b
 
 from graphbench import (
     aggregate_correlations,
+    all_measures,
     best_granularity_tally,
+    enumerate_connected_nonisomorphic,
     granularity,
     kendall_tau_b,
     mean_ci,
@@ -68,6 +70,33 @@ class TestKendallTauB:
             assert kendall_tau_b(x, y) == pytest.approx(
                 bf_kendall_tau_b(list(x), list(y)), abs=1e-12
             )
+
+    def test_bit_identical_to_pair_counting_oracle(self):
+        # Every measure pair on the connected census for n = 2..6, plus
+        # tie-heavy integer vectors: exact equality, not a tolerance.
+        pairs = []
+        for n in range(2, 7):
+            for g in enumerate_connected_nonisomorphic(n):
+                vectors = [v.values for v in all_measures(g).values()]
+                pairs.extend(
+                    (a, b) for i, a in enumerate(vectors) for b in vectors[i + 1:]
+                )
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            n = int(rng.integers(2, 80))
+            alphabet = int(rng.integers(1, 6))
+            pairs.append((rng.integers(0, alphabet, n).astype(float),
+                          rng.integers(0, alphabet, n).astype(float)))
+        for x, y in pairs:
+            assert kendall_tau_b(x, y) == bf_kendall_tau_b(list(x), list(y))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        finite = [1.0, 2.0, 3.0]
+        for x, y in (([1.0, bad, 3.0], finite), (finite, [bad, 2.0, 3.0]),
+                     ([bad] * 3, [bad] * 3)):
+            with pytest.raises(ValueError, match="finite"):
+                kendall_tau_b(x, y)
 
 
 class TestGranularity:
