@@ -58,6 +58,7 @@ POWER_ITERATION_TOL = 1e-12
 POWER_ITERATION_CAP = 10**6
 _ROW_SUM_TOL = 1e-8
 _EDGE_CHUNK = 2048
+_ROW_BLOCK = 128
 
 
 class DisconnectedGraphError(ValueError):
@@ -235,6 +236,15 @@ def walk_betweenness(g: Graph) -> CentralityVector:
     contribute exactly 1. Per edge, the sum over all pairs reduces to a
     sorted prefix sum, and pairs involving the edge's own endpoints are
     subtracted, giving O(m n log n) overall.
+
+    Edges are taken in chunks of ``_EDGE_CHUNK``. Within a chunk, the
+    potential differences ``T[u] - T[v]``, the two endpoint deviation sums
+    and the in-place row sort run in blocks of ``_ROW_BLOCK`` edges, so
+    the working set stays in cache and the buffers are reused. The sorted
+    rows land in one chunk-sized array, and each chunk does one
+    matrix-vector product with the rank weights and one accumulation per
+    endpoint: a product per block would round differently when a block
+    holds a single row.
     """
     _require_connected(g, "walk_betweenness")
     n = g.n
@@ -247,16 +257,33 @@ def walk_betweenness(g: Graph) -> CentralityVector:
     t[: n - 1, : n - 1] = invert(lap[: n - 1, : n - 1])
     acc = np.zeros(n)
     edges = g.edges
+    m = len(edges)
     rank_weights = 2.0 * np.arange(n) - (n - 1)
-    for lo in range(0, len(edges), _EDGE_CHUNK):
+    ordered = np.empty((min(m, _EDGE_CHUNK), n))
+    scratch = np.empty((min(m, _ROW_BLOCK), n))
+    for lo in range(0, m, _EDGE_CHUNK):
         chunk = edges[lo : lo + _EDGE_CHUNK]
         u, v = chunk[:, 0], chunk[:, 1]
-        x = t[u] - t[v]
+        pairs_u = np.empty(len(chunk))
+        pairs_v = np.empty(len(chunk))
+        for b in range(0, len(chunk), _ROW_BLOCK):
+            bu, bv = u[b : b + _ROW_BLOCK], v[b : b + _ROW_BLOCK]
+            rows = np.arange(len(bu))
+            x = ordered[b : b + len(bu)]
+            dev = scratch[: len(bu)]
+            # The indices are in range; mode="clip" lets take write into
+            # ``out`` without an intermediate copy.
+            np.take(t, bu, axis=0, out=x, mode="clip")
+            np.take(t, bv, axis=0, out=dev, mode="clip")
+            x -= dev
+            # Sum of |x_i - x_j| over the pairs with j an endpoint, per edge.
+            for ends, sums in ((bu, pairs_u), (bv, pairs_v)):
+                np.subtract(x, x[rows, ends][:, None], out=dev)
+                np.abs(dev, out=dev)
+                dev.sum(axis=1, out=sums[b : b + len(bu)])
+            x.sort(axis=1)
         # Sum of |x_i - x_j| over all pairs i<j, per edge.
-        total = np.sort(x, axis=1) @ rank_weights
-        rows = np.arange(len(chunk))
-        pairs_u = np.abs(x - x[rows, u][:, None]).sum(axis=1)
-        pairs_v = np.abs(x - x[rows, v][:, None]).sum(axis=1)
+        total = ordered[: len(chunk)] @ rank_weights
         np.add.at(acc, u, total - pairs_u)
         np.add.at(acc, v, total - pairs_v)
     return CentralityVector("walk_betweenness", 0.5 * acc + (n - 1))

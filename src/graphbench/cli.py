@@ -43,6 +43,7 @@ from .harness import (
     emit_heatmap,
     load_results,
     plan_experiments,
+    recorded_confidence,
     run_experiment,
     write_all_tables,
 )
@@ -179,7 +180,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_tables(args) -> int:
     results = load_results(args.results)
     out_dir = args.out_dir if args.out_dir else args.results
-    paths = write_all_tables(results, out_dir)
+    paths = write_all_tables(results, out_dir, recorded_confidence(args.results))
     for name in sorted(paths):
         print(paths[name], file=sys.stderr)
     return 0

@@ -434,6 +434,18 @@ def run_experiment(
     return results
 
 
+def recorded_confidence(results_dir) -> float:
+    """The confidence level the run recorded in ``manifest.json``, or the
+    default for a results directory without a manifest."""
+    manifest = Path(results_dir) / "manifest.json"
+    if not manifest.is_file():
+        return _DEFAULT_CONFIDENCE
+    try:
+        return json.loads(manifest.read_text(encoding="utf-8"))["confidence"]
+    except (KeyError, TypeError):
+        raise ValueError(f"{manifest}: no confidence level recorded") from None
+
+
 def load_results(results_dir) -> list[RunResult]:
     """Load persisted sample records in canonical cell/sample order.
 

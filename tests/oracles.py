@@ -4,6 +4,11 @@ Everything here deliberately takes a different route from the library:
 plain-Python BFS instead of matrix products, explicit path enumeration
 instead of dependency accumulation, per-pair current solves instead of
 per-edge aggregation, and a pair-counting loop for tau-b.
+
+The ``unblocked_*`` functions are the exception: they keep the earlier,
+simpler forms of two optimised kernels (whole-chunk walk betweenness,
+float64 sign-matrix tau-b), so tests can demand exact equality, not a
+tolerance, of the optimised ones.
 """
 
 from collections import deque
@@ -168,3 +173,45 @@ def random_tree(n, rng):
     u, w = np.flatnonzero(degree == 1)
     edges.append((int(u), int(w)))
     return Graph(n, edges)
+
+
+def unblocked_walk_betweenness(g, edge_chunk=2048):
+    """Walk betweenness with whole-chunk (chunk, n) float64 temporaries."""
+    from graphbench.linalg import invert
+
+    n = g.n
+    lap = np.diag(g.degrees.astype(float)) - g.adjacency_matrix
+    t = np.zeros((n, n))
+    t[: n - 1, : n - 1] = invert(lap[: n - 1, : n - 1])
+    acc = np.zeros(n)
+    edges = g.edges
+    rank_weights = 2.0 * np.arange(n) - (n - 1)
+    for lo in range(0, len(edges), edge_chunk):
+        chunk = edges[lo : lo + edge_chunk]
+        u, v = chunk[:, 0], chunk[:, 1]
+        x = t[u] - t[v]
+        total = np.sort(x, axis=1) @ rank_weights
+        rows = np.arange(len(chunk))
+        pairs_u = np.abs(x - x[rows, u][:, None]).sum(axis=1)
+        pairs_v = np.abs(x - x[rows, v][:, None]).sum(axis=1)
+        np.add.at(acc, u, total - pairs_u)
+        np.add.at(acc, v, total - pairs_v)
+    return 0.5 * acc + (n - 1)
+
+
+def unblocked_kendall_tau_b(x, y):
+    """Tau-b as ``sum(sx * sy) / sqrt(nnz(sx) * nnz(sy))`` over the float64
+    ordered-pair sign matrices."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    x_const = bool(np.all(x == x[0]))
+    y_const = bool(np.all(y == y[0]))
+    if x_const and y_const:
+        return 1.0
+    if x_const or y_const:
+        return 0.0
+    sx = np.sign(np.subtract.outer(x, x))
+    sy = np.sign(np.subtract.outer(y, y))
+    return float(np.vdot(sx, sy)) / np.sqrt(
+        float(np.count_nonzero(sx)) * float(np.count_nonzero(sy))
+    )

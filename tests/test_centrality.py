@@ -6,6 +6,7 @@ from oracles import (
     bf_subgraph_series,
     bf_walk_betweenness,
     random_tree,
+    unblocked_walk_betweenness,
 )
 
 from graphbench import (
@@ -50,6 +51,16 @@ def _random_connected(n, p, seed):
         if is_connected(g):
             return g
     raise AssertionError("could not draw a connected test graph")
+
+
+def _connected_with_edges(n, m, seed):
+    """A random spanning tree on n vertices topped up to exactly m edges."""
+    rng = np.random.default_rng(seed)
+    edges = set(map(tuple, random_tree(n, rng).edges.tolist()))
+    while len(edges) < m:
+        a, b = sorted(rng.choice(n, 2, replace=False).tolist())
+        edges.add((a, b))
+    return Graph(n, sorted(edges))
 
 
 class TestDegree:
@@ -200,6 +211,17 @@ class TestWalkBetweenness:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             walk_betweenness(Graph(3, [(0, 1)]))
+
+    # Edge counts inside one row block, with a one-row last block (385,
+    # 2049, 2177), a full chunk (2048) and more than two chunks (4500).
+    # A matrix-vector product per row block instead of per chunk changes
+    # the last bits of the m = 385 and m = 2177 cases.
+    @pytest.mark.parametrize("n, m", [(60, 90), (200, 385), (500, 2048),
+                                      (500, 2049), (500, 2177), (300, 4500)])
+    def test_bit_identical_to_unblocked_kernel(self, n, m):
+        g = _connected_with_edges(n, m, seed=0)
+        assert g.m == m
+        assert np.array_equal(walk_betweenness(g).values, unblocked_walk_betweenness(g))
 
 
 class TestInvariants:

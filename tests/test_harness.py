@@ -414,6 +414,29 @@ class TestCli:
                          "--out", str(svg)]) == 0
         assert svg.read_text().startswith("<svg")
 
+    def test_tables_use_recorded_confidence(self, tmp_path):
+        config = tmp_path / "config.json"
+        results = tmp_path / "results"
+        config.write_text(json.dumps(_tiny_config(
+            results, samples_per_cell=3, confidence=0.5,
+            models=[{"model": "er", "n": [30], "p": [0.3, 0.5]}],
+        )))
+        assert cli_main(["experiment", "--config", str(config)]) == 0
+        assert cli_main(["tables", "--results", str(results),
+                         "--out-dir", str(tmp_path / "rederived")]) == 0
+        for name in TABLE_FILES.values():
+            original = (results / name).read_bytes()
+            assert (tmp_path / "rederived" / name).read_bytes() == original, name
+        # Without a manifest the default level applies, and the CIs move.
+        (results / "manifest.json").unlink()
+        assert cli_main(["tables", "--results", str(results),
+                         "--out-dir", str(tmp_path / "default")]) == 0
+        default = (tmp_path / "default" / TABLE_FILES["granularity"]).read_bytes()
+        assert default != (results / TABLE_FILES["granularity"]).read_bytes()
+        (results / "manifest.json").write_text("[]")
+        assert cli_main(["tables", "--results", str(results),
+                         "--out-dir", str(tmp_path / "bad")]) == 2
+
     def test_partial_failure_exit_code(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import bf_kendall_tau_b
+from oracles import bf_kendall_tau_b, unblocked_kendall_tau_b
 
 from graphbench import (
     aggregate_correlations,
     all_measures,
     best_granularity_tally,
+    distinct_count,
     enumerate_connected_nonisomorphic,
+    erdos_renyi,
     granularity,
     kendall_tau_b,
     mean_ci,
@@ -90,6 +94,29 @@ class TestKendallTauB:
         for x, y in pairs:
             assert kendall_tau_b(x, y) == bf_kendall_tau_b(list(x), list(y))
 
+    def test_bit_identical_to_sign_matrix_form(self, corpus6, corpus7):
+        # The float64 sign-matrix form the boolean order matrices replaced:
+        # every measure pair on the n = 6, 7 census and on an n = 500
+        # network, tie-heavy integer vectors, and n = 500 vectors with
+        # and without ties.
+        vector_sets = [
+            [v.values for v in all_measures(g).values()]
+            for g in (*corpus6, *corpus7, erdos_renyi(500, 0.02, 3))
+        ]
+        pairs = [(a, b) for vectors in vector_sets
+                 for i, a in enumerate(vectors) for b in vectors[i + 1:]]
+        rng = np.random.default_rng(8)
+        for n in (*rng.integers(2, 80, 200), 500, 500, 500):
+            alphabet = int(rng.integers(1, 6))
+            pairs.append((rng.integers(0, alphabet, n).astype(float),
+                          rng.integers(0, alphabet, n).astype(float)))
+        for _ in range(3):
+            x = rng.standard_normal(500)
+            pairs.append((x, x + rng.standard_normal(500)))
+            pairs.append((x, np.round(x * 4.0) + rng.standard_normal(500)))
+        for x, y in pairs:
+            assert kendall_tau_b(x, y) == unblocked_kendall_tau_b(x, y)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         finite = [1.0, 2.0, 3.0]
@@ -97,6 +124,35 @@ class TestKendallTauB:
                      ([bad] * 3, [bad] * 3)):
             with pytest.raises(ValueError, match="finite"):
                 kendall_tau_b(x, y)
+
+
+def _nudge(value, steps):
+    for _ in range(abs(steps)):
+        value = float(np.nextafter(value, np.inf if steps > 0 else -np.inf))
+    return value
+
+
+def _near_half(k, steps, upper):
+    """A value a few floats from the half-way point between k and k + 1
+    millionths, beside one of the two: it joins that one's 6-decimal
+    value or not, depending on which way it rounds."""
+    return [_nudge((k + 0.5) / 1e6, steps), (k + upper) / 1e6]
+
+
+# Groups of values that share a 6-decimal value or not depending on how
+# each is rounded, so a wrong rounding changes the distinct count.
+_ROUNDING_GROUPS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: [x]),
+    st.tuples(st.one_of(st.integers(-10**4, 10**4), st.integers(-10**15, 10**15)),
+              st.integers(-6, 6), st.booleans()).map(lambda args: _near_half(*args)),
+    st.lists(st.integers(-10**8, 10**8).map(lambda k: k / 1e6), max_size=4),
+    # |v| * 1e6 >= 2**52: neighbouring floats whose products may coincide.
+    st.tuples(st.floats(min_value=2.0**52 / 1e6, max_value=1e300),
+              st.integers(1, 3), st.sampled_from([1.0, -1.0])).map(
+        lambda args: [args[2] * args[0], args[2] * _nudge(args[0], args[1])]),
+    st.floats(min_value=0.0, max_value=2.3e-308).map(lambda x: [x, -x]),
+    st.sampled_from([[0.0, -0.0], [1e108, -1e108], [5e-7, -5e-7, 1e-6]]),
+)
 
 
 class TestGranularity:
@@ -128,6 +184,26 @@ class TestGranularity:
         shuffled = values[rng.permutation(50)]
         assert granularity(values) == granularity(shuffled)
         assert 0.0 < granularity(values) <= 100.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        for values in ([1.0, bad, 3.0], [bad], [bad, bad]):
+            with pytest.raises(ValueError, match="finite"):
+                distinct_count(values)
+            with pytest.raises(ValueError, match="finite"):
+                granularity(values)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_ROUNDING_GROUPS, min_size=1, max_size=12).map(
+        lambda groups: [v for group in groups for v in group]).filter(bool))
+    @example([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308])
+    @example([1e108, 2e108, -1e108, 2.0**52 / 1e6, np.nextafter(2.0**52 / 1e6, 0.0)])
+    @example([0.0000005, -0.0000005, 1.4999995, 1.4999994999999999, 0.000001])
+    @example([0.0001245, 0.000124])  # 1e6 * v is 124.49999999999999
+    @example([28978020376.89373, 28978020376.893734])  # equal products v * 1e6
+    @example([1e303, 2e303, -1.7e308])  # v * 1e6 overflows
+    def test_distinct_count_matches_decimal_rounding(self, values):
+        assert distinct_count(values) == len({round6(v) for v in values})
 
 
 class TestMeanCi:
