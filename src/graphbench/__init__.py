@@ -44,14 +44,12 @@ from .generators import (
     grid_pair_probabilities,
     kronecker,
     kronecker_pair_probabilities,
-    load_graph6_corpus,
     mix64,
     scale_free,
     small_world,
     splitmix64,
 )
 from .stats import (
-    aggregate_correlations,
     best_granularity_tally,
     distinct_count,
     granularity,

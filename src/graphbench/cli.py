@@ -188,9 +188,8 @@ def _cmd_tables(args) -> int:
 
 def _cmd_heatmap(args) -> int:
     results = load_results(args.results)
-    matrix = correlation_matrix(results)
     out = args.out if args.out else str(Path(args.results) / HEATMAP_FILE)
-    emit_heatmap(matrix, out)
+    emit_heatmap(correlation_matrix(results), out)
     print(out, file=sys.stderr)
     return 0
 

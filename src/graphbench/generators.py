@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import logging
 from dataclasses import dataclass, field
 from math import isqrt
 from pathlib import Path
@@ -37,9 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .graphs import Graph, FormatError, is_connected, parse_graph6
-
-log = logging.getLogger(__name__)
+from .graphs import Graph, is_connected
 
 MODELS = ("cs", "er", "gr", "sf", "sw", "kg")
 
@@ -441,35 +438,3 @@ def enumerate_connected_nonisomorphic(n: int) -> list[Graph]:
             f"census found {len(reps)} classes on {n} vertices, expected {expected}"
         )
     return reps
-
-
-def load_graph6_corpus(path) -> list[Graph]:
-    """Parse a file of one-per-line graph6 records.
-
-    A leading ``>>graph6<<`` header is stripped (its trailing text, if
-    any, is treated as the first record). Malformed records raise
-    :class:`~graphbench.graphs.FormatError` with the line number;
-    disconnected graphs load fine and are logged.
-    """
-    text = Path(path).read_text(encoding="utf-8")
-    graphs: list[Graph] = []
-    disconnected = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if lineno == 1 and line.startswith(">>graph6<<"):
-            line = line[len(">>graph6<<"):].strip()
-        if not line:
-            continue
-        try:
-            g = parse_graph6(line)
-        except (FormatError, ValueError) as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
-        if not is_connected(g):
-            disconnected += 1
-            log.warning("line %d: graph6 record %r is disconnected", lineno, line)
-        graphs.append(g)
-    log.info(
-        "loaded %d graph6 records from %s (%d disconnected)",
-        len(graphs), path, disconnected,
-    )
-    return graphs

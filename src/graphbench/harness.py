@@ -11,8 +11,10 @@ A sample has one form, :class:`RunResult`. The plan creates it with its
 identity (cell, sample, model, n, params, seed), the worker fills in what
 measuring the network records, and ``samples/cell####_s####.json`` holds
 its fields as written by :meth:`RunResult.to_dict`; :func:`load_results`
-rebuilds it from exactly those keys. :func:`write_all_tables` is the only
-path from samples to the roll-up CSVs.
+rebuilds it from exactly those keys. Its ``tau`` maps each measure pair,
+keyed ``"a|b"`` by :func:`_pair`, to one tau-b value.
+:func:`write_all_tables` is the only path from samples to the roll-up
+CSVs, and every mean with a CI in them goes through :func:`_mean_cells`.
 
 Execution is deterministic: every sample's seed is derived from the base
 seed and the sample's (model, cell, sample) coordinates, samples are
@@ -36,6 +38,8 @@ from multiprocessing import get_context
 from pathlib import Path
 from time import perf_counter
 
+import numpy as np
+
 from . import stats
 from .centrality import MEASURES, SHORT_LABELS, compute_measure
 from .generators import (
@@ -49,7 +53,6 @@ from .generators import (
     load_initiators,
 )
 from .graphs import format_graph6, parse_graph6
-from .stats import RankCorrelationMatrix, aggregate_correlations
 
 # Row/column orders of the emitted tables.
 CORRELATION_ORDER = (
@@ -164,12 +167,26 @@ class RunResult:
 _RECORD_KEYS = frozenset(f.name for f in fields(RunResult))
 
 
+def _pair(a: str, b: str) -> str:
+    """The key of a measure pair in ``RunResult.tau``: ``"a|b"``, names sorted."""
+    return f"{a}|{b}" if a <= b else f"{b}|{a}"
+
+
+_PAIR_KEYS = frozenset(_pair(a, b) for a, b in itertools.combinations(MEASURES, 2))
+
+
+def _record_name(cell_index: int, sample_index: int) -> str:
+    return f"cell{cell_index:04d}_s{sample_index:04d}.json"
+
+
 def _as_list(value) -> list:
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
 def _expand_model_entry(entry: dict, initiators) -> list[tuple[str, int, tuple]]:
     """Expand one config entry into (model, n, params-items) combinations."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"model entry must be a JSON object, got {entry!r}")
     if "model" not in entry:
         raise ConfigError("model entry is missing the 'model' key")
     model = entry["model"]
@@ -214,7 +231,11 @@ def _expand_model_entry(entry: dict, initiators) -> list[tuple[str, int, tuple]]
             raise ConfigError(f"model '{model}' parameter '{key}' is empty")
     for combo in itertools.product(*(values[key] for key in grid_keys)):
         named = dict(zip(grid_keys, combo))
-        n = int(named.pop("n"))
+        n = named.pop("n")
+        if type(n) is not int or n < 1:
+            raise ConfigError(
+                f"model '{model}' parameter 'n' must be a whole number >= 1, got {n!r}"
+            )
         if model == "cs":
             divisor = int(named.pop("c_div"))
             if divisor < 1 or n // divisor < 1:
@@ -238,6 +259,8 @@ def plan_experiments(config) -> ExperimentPlan:
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise ConfigError(f"config must be a JSON object, got {config!r}")
     for key in config:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key '{key}'")
@@ -319,12 +342,10 @@ def _run_sample(
             count = stats.distinct_count(vec.values)
             result.distinct_counts[m] = count
             result.granularity[m] = 100.0 * count / g.n
-        ordered = sorted(metrics)
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1:]:
-                result.tau[f"{a}|{b}"] = stats.kendall_tau_b(
-                    vectors[a].values, vectors[b].values
-                )
+        for a, b in itertools.combinations(metrics, 2):
+            result.tau[_pair(a, b)] = stats.kendall_tau_b(
+                vectors[a].values, vectors[b].values
+            )
         if keep_vectors:
             result.vectors = {
                 m: [float(x) for x in vec.values] for m, vec in vectors.items()
@@ -424,7 +445,7 @@ def run_experiment(
         json.dumps(_manifest(plan), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     for result in results:
-        name = f"cell{result.cell_index:04d}_s{result.sample_index:04d}.json"
+        name = _record_name(result.cell_index, result.sample_index)
         (samples_dir / name).write_text(
             json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
@@ -446,11 +467,27 @@ def recorded_confidence(results_dir) -> float:
         raise ValueError(f"{manifest}: no confidence level recorded") from None
 
 
+def _check_tau(path, tau) -> None:
+    """Reject a ``tau`` that is not a map from pair keys of known measures
+    to numbers in [-1, 1] (up to rounding)."""
+    if not isinstance(tau, dict):
+        raise ValueError(f"{path}: 'tau' is not a mapping of measure pairs")
+    for key, value in tau.items():
+        if key not in _PAIR_KEYS:
+            raise ValueError(
+                f"{path}: tau key {key!r} is not 'a|b' for known measures a < b"
+            )
+        if type(value) not in (int, float) or not abs(value) <= 1.0 + 1e-12:
+            raise ValueError(f"{path}: tau value out of [-1, 1] for pair {key}: {value!r}")
+
+
 def load_results(results_dir) -> list[RunResult]:
     """Load persisted sample records in canonical cell/sample order.
 
-    A record that is not JSON, or whose keys are not exactly those
-    :meth:`RunResult.to_dict` writes, raises :class:`ValueError` naming
+    A record that is not JSON, whose keys are not exactly those
+    :meth:`RunResult.to_dict` writes, whose file is not named after its
+    own cell and sample (so a copied record cannot count twice), or whose
+    ``tau`` fails :func:`_check_tau`, raises :class:`ValueError` naming
     its file.
     """
     samples_dir = Path(results_dir) / "samples"
@@ -470,6 +507,16 @@ def load_results(results_dir) -> list[RunResult]:
                 f"{path}: not a sample record (missing keys {missing}, "
                 f"unknown keys {unknown})"
             )
+        try:
+            name = _record_name(record["cell_index"], record["sample_index"])
+        except (TypeError, ValueError):
+            name = None
+        if path.name != name:
+            raise ValueError(
+                f"{path}: file name does not match its record (cell_index "
+                f"{record['cell_index']!r}, sample_index {record['sample_index']!r})"
+            )
+        _check_tau(path, record["tau"])
         results.append(RunResult(**record))
     results.sort(key=lambda r: (r.cell_index, r.sample_index))
     return results
@@ -487,27 +534,32 @@ def _fmt(value: float, decimals: int) -> str:
     return text.lstrip("-") if float(text) == 0 else text
 
 
-def correlation_matrix(results, confidence: float = _DEFAULT_CONFIDENCE) -> RankCorrelationMatrix:
-    """Pooled mean tau-b over all successful results."""
-    good = _ok(results)
-    tau_maps = [
-        {tuple(key.split("|")): value for key, value in r.tau.items()} for r in good
-    ]
-    return aggregate_correlations(tau_maps, MEASURES, confidence)
+def _tau_buckets(results) -> dict[str, list[float]]:
+    """Each pair's tau values over ``results``, in their order."""
+    buckets: dict[str, list[float]] = {}
+    for r in results:
+        for key, value in r.tau.items():
+            buckets.setdefault(key, []).append(value)
+    return buckets
 
 
-def _correlation_csv(good, confidence) -> str:
-    matrix = correlation_matrix(good, confidence)
+def correlation_matrix(results) -> dict[str, float]:
+    """Pooled mean tau-b per pair key ``"a|b"`` over all successful results."""
+    return {
+        key: float(np.mean(values))
+        for key, values in _tau_buckets(_ok(results)).items()
+    }
+
+
+def _correlation_csv(good) -> str:
+    means = correlation_matrix(good)
     header = "metric," + ",".join(SHORT_LABELS[m] for m in CORRELATION_ORDER)
     lines = [header]
     for i, row in enumerate(CORRELATION_ORDER):
         cells = []
         for j, col in enumerate(CORRELATION_ORDER):
-            key = (row, col) if row <= col else (col, row)
-            if j < i and key in matrix.mean:
-                cells.append(_fmt(matrix.mean[key], 2))
-            else:
-                cells.append("")
+            mean = means.get(_pair(row, col))
+            cells.append(_fmt(mean, 2) if j < i and mean is not None else "")
         lines.append(SHORT_LABELS[row] + "," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -524,12 +576,12 @@ def _corpus_group(r: RunResult) -> str:
     return "nonisomorphic" if r.model == "nonisomorphic" else "complex_models"
 
 
-def _mean_cells(values, confidence) -> list[str]:
-    """A granularity mean and CI half-width at 2 decimals; the half-width
-    is empty for a single sample."""
+def _mean_cells(values, confidence, decimals: int = 2) -> list[str]:
+    """A mean and its CI half-width, formatted; the half-width is empty
+    for a single sample."""
     if len(values) == 1:
-        return [_fmt(values[0], 2), ""]
-    return [_fmt(x, 2) for x in stats.mean_ci(values, confidence)]
+        return [_fmt(values[0], decimals), ""]
+    return [_fmt(x, decimals) for x in stats.mean_ci(values, confidence)]
 
 
 def _granularity_csv(good, confidence) -> str:
@@ -596,19 +648,16 @@ def _correlation_by_model_csv(good, confidence) -> str:
     for family in FAMILY_ORDER:
         if family not in by_family:
             continue
-        matrix = correlation_matrix(by_family[family], confidence)
-        for i, a in enumerate(CORRELATION_ORDER):
-            for b in CORRELATION_ORDER[i + 1:]:
-                key = (a, b) if a <= b else (b, a)
-                if key not in matrix.mean:
-                    continue
-                pair = f"{SHORT_LABELS[a]}|{SHORT_LABELS[b]}"
-                half = matrix.half_width[key]
-                lines.append(
-                    f"{FAMILY_LABELS[family]},{pair},{_fmt(matrix.mean[key], 6)},"
-                    f"{matrix.count[key]},"
-                    + (_fmt(half, 6) if half is not None else "")
-                )
+        buckets = _tau_buckets(by_family[family])
+        for a, b in itertools.combinations(CORRELATION_ORDER, 2):
+            values = buckets.get(_pair(a, b))
+            if not values:
+                continue
+            mean, half = _mean_cells(values, confidence, decimals=6)
+            lines.append(
+                f"{FAMILY_LABELS[family]},{SHORT_LABELS[a]}|{SHORT_LABELS[b]},"
+                f"{mean},{len(values)},{half}"
+            )
     return "\n".join(lines) + "\n"
 
 
@@ -618,7 +667,7 @@ def write_all_tables(results, out_dir, confidence: float = _DEFAULT_CONFIDENCE) 
     out_dir.mkdir(parents=True, exist_ok=True)
     good = _ok(results)
     content = {
-        "correlation": _correlation_csv(good, confidence),
+        "correlation": _correlation_csv(good),
         "correlation_by_model": _correlation_by_model_csv(good, confidence),
         "granularity": _granularity_csv(good, confidence),
         "granularity_by_size": _granularity_by_size_csv(good, confidence),
@@ -640,12 +689,12 @@ def _ramp(tau: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def emit_heatmap(matrix: RankCorrelationMatrix, path) -> Path:
-    """Render an 8x8 correlation heatmap as a standalone SVG file."""
-    missing = [m for m in MEASURES if m not in matrix.measures]
-    if missing or not matrix.is_complete():
-        raise ValueError("heatmap requires a complete 8x8 correlation matrix")
+def emit_heatmap(means: dict[str, float], path) -> Path:
+    """Render the 8x8 heatmap of :func:`correlation_matrix`'s pair means as
+    a standalone SVG file."""
     order = CORRELATION_ORDER
+    if not _PAIR_KEYS <= means.keys():
+        raise ValueError("heatmap requires a complete 8x8 correlation matrix")
     cell, margin, pad = 64, 72, 12
     size = margin + len(order) * cell + pad
     parts = [
@@ -665,7 +714,7 @@ def emit_heatmap(matrix: RankCorrelationMatrix, path) -> Path:
         )
     for i, row in enumerate(order):
         for j, col in enumerate(order):
-            tau = matrix.value(row, col)
+            tau = 1.0 if row == col else means[_pair(row, col)]
             x = margin + j * cell
             y = margin + i * cell
             parts.append(

@@ -1,4 +1,4 @@
-"""Rank correlation with tie correction, granularity, and CI aggregation.
+"""Rank correlation with tie correction, granularity, and confidence intervals.
 
 ``kendall_tau_b`` builds the boolean order matrices ``gx = x_i > x_j``
 and ``gy`` over all ordered vertex pairs (O(n^2) bytes, vectorized; an
@@ -33,9 +33,8 @@ docstring). Granularity rejects NaN and infinite values.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -167,65 +166,3 @@ def best_granularity_tally(
                 best[m] += 1
     total = len(per_network_counts)
     return {m: 100.0 * best[m] / total for m in metrics}
-
-
-def _pair_key(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
-
-
-@dataclass(frozen=True)
-class RankCorrelationMatrix:
-    """Mean tau-b per metric pair with sample counts and CI half-widths."""
-
-    measures: tuple[str, ...]
-    mean: dict
-    count: dict
-    half_width: dict
-    confidence: float
-
-    def value(self, a: str, b: str) -> float:
-        if a == b:
-            return 1.0
-        return self.mean[_pair_key(a, b)]
-
-    def pair_count(self, a: str, b: str) -> int:
-        return self.count[_pair_key(a, b)]
-
-    def is_complete(self) -> bool:
-        return all(
-            _pair_key(a, b) in self.mean
-            for i, a in enumerate(self.measures)
-            for b in self.measures[i + 1:]
-        )
-
-
-def aggregate_correlations(
-    tau_maps: Iterable[Mapping[tuple[str, str], float]],
-    measures: Sequence[str],
-    confidence: float = 0.99,
-) -> RankCorrelationMatrix:
-    """Pool per-network tau values into unweighted means per pair.
-
-    ``tau_maps`` must arrive in a canonical order so the floating-point
-    sums do not depend on scheduling.
-    """
-    measures = tuple(measures)
-    buckets: dict[tuple[str, str], list[float]] = {}
-    for taus in tau_maps:
-        for pair, value in taus.items():
-            buckets.setdefault(_pair_key(*pair), []).append(float(value))
-    mean: dict = {}
-    count: dict = {}
-    half_width: dict = {}
-    for pair, values in buckets.items():
-        arr = np.asarray(values)
-        if np.max(np.abs(arr)) > 1.0 + 1e-12:
-            raise ValueError(f"tau value out of [-1, 1] for pair {pair}")
-        mean[pair] = float(arr.mean())
-        count[pair] = arr.size
-        half_width[pair] = mean_ci(arr, confidence)[1] if arr.size >= 2 else None
-    return RankCorrelationMatrix(
-        measures=measures, mean=mean, count=count,
-        half_width=half_width, confidence=confidence,
-    )
-

@@ -7,7 +7,6 @@ from oracles import bf_is_isomorphic
 
 from graphbench import (
     Graph,
-    FormatError,
     GenerationError,
     KroneckerInitiator,
     ModelConfig,
@@ -25,7 +24,6 @@ from graphbench import (
     is_connected,
     kronecker,
     kronecker_pair_probabilities,
-    load_graph6_corpus,
     mix64,
     scale_free,
     small_world,
@@ -349,39 +347,6 @@ class TestCensus:
                 h.add_edges_from(g.edges.tolist())
                 bucket = atlas.get(degree_sequence(h), [])
                 assert sum(nx.is_isomorphic(h, a) for a in bucket) == 1, g.edges
-
-
-class TestCorpusLoader:
-    def test_round_trip_corpus6(self, corpus6, tmp_path):
-        path = tmp_path / "six.g6"
-        path.write_text("".join(format_graph6(g) + "\n" for g in corpus6))
-        loaded = load_graph6_corpus(path)
-        assert loaded == corpus6
-        assert all(is_connected(g) for g in loaded)
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.g6"
-        path.write_text("")
-        assert load_graph6_corpus(path) == []
-
-    def test_disconnected_record_loads(self, tmp_path):
-        path = tmp_path / "one.g6"
-        path.write_text("A?\n")
-        graphs = load_graph6_corpus(path)
-        assert len(graphs) == 1
-        assert not is_connected(graphs[0])
-
-    def test_header_stripped(self, tmp_path):
-        path = tmp_path / "hdr.g6"
-        path.write_text(">>graph6<<A_\nBw\n")
-        graphs = load_graph6_corpus(path)
-        assert [g.n for g in graphs] == [2, 3]
-
-    def test_malformed_record_names_line(self, tmp_path):
-        path = tmp_path / "bad.g6"
-        path.write_text("A_\nC\n")
-        with pytest.raises(FormatError, match="line 2"):
-            load_graph6_corpus(path)
 
 
 class TestModelConfig:

@@ -94,6 +94,21 @@ class TestPlanning:
             plan_experiments({"models": [{"model": "er", "n": [5], "p": [0.5]}],
                               key: value})
 
+    def test_config_must_be_an_object(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('"abc"')
+        with pytest.raises(ConfigError, match="config must be a JSON object, got 'abc'"):
+            plan_experiments(path)
+
+    def test_model_entry_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="model entry must be a JSON object, got 'model'"):
+            plan_experiments({"models": ["model"]})
+
+    @pytest.mark.parametrize("n", [2.5, 0, -3, "10", True])
+    def test_n_must_be_a_whole_number(self, n):
+        with pytest.raises(ConfigError, match="parameter 'n' must be a whole number >= 1"):
+            plan_experiments({"models": [{"model": "er", "n": [n], "p": [0.5]}]})
+
     def test_kg_needs_initiators(self):
         with pytest.raises(ConfigError, match="kronecker_initiators_path"):
             plan_experiments({"models": [{"model": "kg", "k": [3]}]})
@@ -176,11 +191,25 @@ class TestRun:
         path = tmp_path / "out" / "samples" / "cell0000_s0000.json"
         record = json.loads(path.read_text())
         for text in (json.dumps({**record, "typo": 1}),
+                     json.dumps({**record, "cell_index": "0"}),
                      json.dumps({k: v for k, v in record.items() if k != "retries"}),
                      json.dumps(record)[:-1]):
             path.write_text(text)
             with pytest.raises(ValueError, match="cell0000_s0000.json"):
                 load_results(tmp_path / "out")
+
+    def test_copied_record_rejected(self, tmp_path):
+        plan = plan_experiments(_tiny_config(tmp_path / "out", samples_per_cell=1,
+                                             metrics=["degree", "closeness"]))
+        run_experiment(plan)
+        samples = tmp_path / "out" / "samples"
+        record = (samples / "cell0000_s0000.json").read_text()
+        for name in ("cell0000_s0000 copy.json", "cell0001_s0000.json"):
+            (samples / name).write_text(record)
+            with pytest.raises(ValueError, match=re.escape(name)):
+                load_results(tmp_path / "out")
+            (samples / name).unlink()
+        assert len(load_results(tmp_path / "out")) == 1
 
     def test_rerun_with_fewer_samples_drops_stale_records(self, tmp_path):
         metrics = ["degree", "closeness"]
@@ -333,6 +362,73 @@ class TestTables:
         assert set(paths) == set(TABLE_FILES)
         for name, path in paths.items():
             assert path.read_bytes() == (mixed_dir / TABLE_FILES[name]).read_bytes(), name
+
+
+def _sample(cell, model, tau, sample=0, error=None):
+    return RunResult(cell_index=cell, sample_index=sample, model=model, n=5,
+                     params={}, seed=0, tau=tau, error=error)
+
+
+def _saved(out_dir, *results):
+    """Write ``results`` as the sample records of ``out_dir``."""
+    samples = out_dir / "samples"
+    samples.mkdir(parents=True, exist_ok=True)
+    for r in results:
+        name = f"cell{r.cell_index:04d}_s{r.sample_index:04d}.json"
+        (samples / name).write_text(json.dumps(r.to_dict()))
+    return out_dir
+
+
+class TestTauRollup:
+    """The tau roll-ups of hand-built samples, and the tau checks on load."""
+
+    def test_pooled_mean(self):
+        results = [
+            _sample(0, "er", {"closeness|degree": 0.5, "betweenness|closeness": 1.0}),
+            _sample(1, "sw", {"closeness|degree": 0.7, "betweenness|closeness": 0.8}),
+            _sample(2, "sw", {"closeness|degree": -1.0}, error="boom"),
+        ]
+        assert correlation_matrix(results) == pytest.approx(
+            {"closeness|degree": 0.6, "betweenness|closeness": 0.9}
+        )
+
+    def test_by_model_count_and_half_width(self, tmp_path):
+        results = [
+            _sample(0, "er", {"closeness|degree": v, "betweenness|closeness": w}, sample=i)
+            for i, (v, w) in enumerate([(0.2, 1.0), (0.4, 0.5), (0.9, -0.25)])
+        ]
+        results.append(_sample(1, "sw", {"closeness|degree": 0.7}))
+        write_all_tables(results, tmp_path, confidence=0.95)
+        # Half-widths are z * s / sqrt(3) with z = 1.959964 at 95%:
+        # s = 0.360555 and 0.629153. One sw sample has no half-width.
+        assert _table_lines(tmp_path, "correlation_by_model") == [
+            "model,pair,mean_tau,count,ci_half_width",
+            "M_sw,C_c|C_d,0.700000,1,",
+            "M_er,C_c|C_b,0.416667,3,0.711940",
+            "M_er,C_c|C_d,0.500000,3,0.407999",
+        ]
+        rows = _table_lines(tmp_path, "correlation")
+        assert rows[2] == "C_b,0.42,,,,,,,"
+        assert rows[3] == "C_d,0.55,,,,,,,"  # pooled over both families
+
+    @pytest.mark.parametrize("tau", [
+        {"closeness|degree": 1.5},
+        {"closeness|degree": -1.000001},
+        {"closeness|degree": float("nan")},
+        {"closeness|degree": "0.5"},
+        {"degree|closeness": 0.5},
+        {"closeness|speed": 0.5},
+        {"closeness": 0.5},
+        [0.5],
+    ], ids=["above_1", "below_minus_1", "nan", "string", "reversed_pair",
+            "unknown_measure", "not_a_pair", "not_a_mapping"])
+    def test_bad_tau_rejected_on_load(self, tmp_path, tau):
+        good = _sample(0, "er", {"closeness|degree": 1.0 + 1e-13})
+        out = _saved(tmp_path, good, _sample(1, "er", tau))
+        with pytest.raises(ValueError, match="cell0001_s0000.json"):
+            load_results(out)
+        (out / "samples" / "cell0001_s0000.json").unlink()
+        assert [r.tau for r in load_results(out)] == [good.tau]
 
 
 class TestHeatmap:

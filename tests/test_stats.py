@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from oracles import bf_kendall_tau_b, unblocked_kendall_tau_b
 
 from graphbench import (
-    aggregate_correlations,
     all_measures,
     best_granularity_tally,
     distinct_count,
@@ -253,21 +252,3 @@ class TestBestTally:
         assert out["a"] == pytest.approx(200 / 3)
         assert out["b"] == pytest.approx(200 / 3)
         assert sum(out.values()) > 100.0
-
-
-class TestAggregates:
-    def test_correlation_matrix(self):
-        maps = [
-            {("a", "b"): 0.5, ("a", "c"): 1.0, ("b", "c"): 0.0},
-            {("a", "b"): 0.7, ("a", "c"): 0.8, ("b", "c"): 0.2},
-        ]
-        matrix = aggregate_correlations(maps, ("a", "b", "c"), 0.99)
-        assert matrix.value("a", "b") == pytest.approx(0.6)
-        assert matrix.value("b", "a") == pytest.approx(0.6)
-        assert matrix.value("a", "a") == 1.0
-        assert matrix.pair_count("a", "c") == 2
-        assert matrix.is_complete()
-
-    def test_out_of_range_tau_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_correlations([{("a", "b"): 1.5}], ("a", "b"), 0.99)
