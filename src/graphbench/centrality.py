@@ -129,27 +129,37 @@ def betweenness(g: Graph) -> CentralityVector:
     """Geodesic betweenness by level-wise dependency accumulation.
 
     All sources are processed at once: dependencies flow one BFS level at
-    a time through the adjacency matrix, which reproduces the classic
-    per-source accumulation ``delta[v] += sigma[v]/sigma[w] * (1+delta[w])``
-    as dense matrix products.
+    a time through the graph's adjacency operator, which reproduces the
+    classic per-source accumulation
+    ``delta[v] += sigma[v]/sigma[w] * (1+delta[w])`` as matrix products.
+    On a dense adjacency row s of ``delta`` belongs to source s. On a CSR
+    adjacency ``delta`` is kept transposed, one column per source, so the
+    sparse product needs no transpose copies: ``dist`` and ``sigma`` are
+    symmetric, and only the product and the final sum change sides.
     """
     _require_connected(g, "betweenness")
     n = g.n
     if n <= 2:
         return CentralityVector("betweenness", np.zeros(n))
-    a = g.adjacency_matrix
+    op = g.adjacency_operator
+    by_column = not isinstance(op, np.ndarray)
     geo = bfs_all_pairs(g)
-    dist, sigma = geo.dist, geo.sigma
-    delta = np.zeros((n, n))
-    for level in range(int(dist.max()), 0, -1):
-        at = dist == level
-        coeff = np.where(at, (1.0 + delta) / np.where(at, sigma, 1.0), 0.0)
-        spread = coeff @ a
-        below = dist == level - 1
-        delta += np.where(below, sigma * spread, 0.0)
-    np.fill_diagonal(delta, 0.0)
+    dist, sigma = geo.dist.ravel(), geo.sigma.ravel()
+    delta = np.zeros(n * n)
+    coeff = np.zeros((n, n))
+    # Level 1 would only feed the sources themselves, whose entries (the
+    # diagonal) stay 0, so the loop stops at level 2.
+    top = int(dist.max())
+    below = np.flatnonzero(dist == top)
+    for level in range(top, 1, -1):
+        at, below = below, np.flatnonzero(dist == level - 1)
+        np.put(coeff, at, (1.0 + delta[at]) / sigma[at])
+        spread = op @ coeff if by_column else coeff @ op
+        np.put(coeff, at, 0.0)
+        delta[below] = sigma[below] * spread.take(below)
     # Each unordered pair is seen from both endpoints as a source.
-    return CentralityVector("betweenness", delta.sum(axis=0) / 2.0)
+    per_vertex = delta.reshape(n, n).sum(axis=int(by_column))
+    return CentralityVector("betweenness", per_vertex / 2.0)
 
 
 def power_iteration(

@@ -183,6 +183,14 @@ def _as_list(value) -> list:
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
+def _whole(value, what: str) -> int:
+    """``value`` when it is an int; floats such as 2.5, strings and booleans
+    raise instead of being truncated."""
+    if type(value) is not int:
+        raise ConfigError(f"{what} must be a whole number, got {value!r}")
+    return value
+
+
 def _expand_model_entry(entry: dict, initiators) -> list[tuple[str, int, tuple]]:
     """Expand one config entry into (model, n, params-items) combinations."""
     if not isinstance(entry, dict):
@@ -210,7 +218,7 @@ def _expand_model_entry(entry: dict, initiators) -> list[tuple[str, int, tuple]]
         for name in names:
             if name not in initiators:
                 raise ConfigError(f"unknown Kronecker initiator '{name}'")
-        ks = [int(k) for k in _as_list(entry.get("k", []))]
+        ks = [_whole(k, "model 'kg' parameter 'k'") for k in _as_list(entry.get("k", []))]
         if not ks:
             raise ConfigError("model 'kg' needs at least one 'k' value")
         for name, k in itertools.product(names, ks):
@@ -237,7 +245,7 @@ def _expand_model_entry(entry: dict, initiators) -> list[tuple[str, int, tuple]]
                 f"model '{model}' parameter 'n' must be a whole number >= 1, got {n!r}"
             )
         if model == "cs":
-            divisor = int(named.pop("c_div"))
+            divisor = _whole(named.pop("c_div"), "model 'cs' parameter 'c_div'")
             if divisor < 1 or n // divisor < 1:
                 raise ConfigError(
                     f"model 'cs' c_div={divisor} leaves no community at n={n}"
@@ -267,10 +275,14 @@ def plan_experiments(config) -> ExperimentPlan:
     models = config.get("models")
     if not models:
         raise ConfigError("config key 'models' must be a non-empty list")
-    samples_per_cell = int(config.get("samples_per_cell", _DEFAULT_SAMPLES))
+    samples_per_cell = _whole(
+        config.get("samples_per_cell", _DEFAULT_SAMPLES), "config key 'samples_per_cell'"
+    )
     if samples_per_cell < 1:
         raise ConfigError("config key 'samples_per_cell' must be >= 1")
-    base_seed = int(config.get("base_seed", 0))
+    base_seed = _whole(config.get("base_seed", 0), "config key 'base_seed'")
+    if not 0 <= base_seed < 2**64:
+        raise ConfigError(f"config key 'base_seed' must be in [0, 2**64), got {base_seed}")
     metrics = tuple(config.get("metrics", MEASURES))
     for m in metrics:
         if m not in MEASURES:
@@ -281,7 +293,9 @@ def plan_experiments(config) -> ExperimentPlan:
     confidence = float(config.get("confidence", _DEFAULT_CONFIDENCE))
     if not 0.0 < confidence < 1.0:
         raise ConfigError(f"config key 'confidence' must be in (0, 1), got {confidence}")
-    max_retries = int(config.get("max_retries", DEFAULT_MAX_RETRIES))
+    max_retries = _whole(
+        config.get("max_retries", DEFAULT_MAX_RETRIES), "config key 'max_retries'"
+    )
     if max_retries < 1:
         raise ConfigError(f"config key 'max_retries' must be >= 1, got {max_retries}")
 

@@ -5,10 +5,11 @@ plain-Python BFS instead of matrix products, explicit path enumeration
 instead of dependency accumulation, per-pair current solves instead of
 per-edge aggregation, and a pair-counting loop for tau-b.
 
-The ``unblocked_*`` functions are the exception: they keep the earlier,
-simpler forms of two optimised kernels (whole-chunk walk betweenness,
-float64 sign-matrix tau-b), so tests can demand exact equality, not a
-tolerance, of the optimised ones.
+The ``unblocked_*`` and ``dense_*`` functions are the exception: they keep
+the earlier, simpler forms of optimised kernels (whole-chunk walk
+betweenness, float64 sign-matrix tau-b, all-sources BFS and betweenness
+through the dense adjacency matrix), so tests can demand exact equality,
+not a tolerance, of the optimised ones.
 """
 
 from collections import deque
@@ -215,3 +216,76 @@ def unblocked_kendall_tau_b(x, y):
     return float(np.vdot(sx, sy)) / np.sqrt(
         float(np.count_nonzero(sx)) * float(np.count_nonzero(sy))
     )
+
+
+def dense_geodesics(g):
+    """All-sources BFS with one dense ``(sigma * frontier) @ A`` per level;
+    returns ``(dist, sigma)``."""
+    n = g.n
+    a = g.adjacency_matrix
+    dist = np.full((n, n), -1, dtype=np.int32)
+    sigma = np.zeros((n, n))
+    np.fill_diagonal(dist, 0)
+    np.fill_diagonal(sigma, 1.0)
+    frontier = np.eye(n, dtype=bool)
+    level = 0
+    while frontier.any():
+        arriving = (sigma * frontier) @ a
+        newly = (arriving > 0) & (dist == -1)
+        level += 1
+        dist[newly] = level
+        sigma[newly] = arriving[newly]
+        frontier = newly
+    return dist, sigma
+
+
+def dense_betweenness(g):
+    """Level-wise dependency accumulation with one dense ``coeff @ A`` per
+    level, one row per source."""
+    n = g.n
+    if n <= 2:
+        return np.zeros(n)
+    a = g.adjacency_matrix
+    dist, sigma = dense_geodesics(g)
+    delta = np.zeros((n, n))
+    for level in range(int(dist.max()), 0, -1):
+        at = dist == level
+        coeff = np.where(at, (1.0 + delta) / np.where(at, sigma, 1.0), 0.0)
+        spread = coeff @ a
+        below = dist == level - 1
+        delta += np.where(below, sigma * spread, 0.0)
+    np.fill_diagonal(delta, 0.0)
+    return delta.sum(axis=0) / 2.0
+
+
+# Seeded samples on both sides of the 1/25 density cut of
+# ``Graph.adjacency_operator``; each comment gives the sample's 2m/n**2.
+DENSITY_CUT_SAMPLES = [
+    ("er", 100, {"p": 0.1}),  # 0.097 dense
+    ("er", 500, {"p": 0.02}),  # 0.020 CSR
+    ("er", 500, {"p": 0.1}),  # 0.101 dense
+    ("sf", 100, {"k": 2}),  # 0.039 CSR
+    ("sf", 100, {"k": 5}),  # 0.097 dense
+    ("sf", 500, {"k": 2}),  # 0.008 CSR
+    ("sw", 100, {"k": 4, "p": 0.1}),  # 0.040 CSR, on the cut
+    ("sw", 500, {"k": 4, "p": 0.1}),  # 0.008 CSR, 14 levels
+    ("sw", 500, {"k": 32, "p": 0.1}),  # 0.064 dense
+    ("gr", 100, {"kappa": 1.2}),  # 0.339 dense
+    ("gr", 484, {"kappa": 2.0}),  # 0.015 CSR
+    ("gr", 484, {"kappa": 1.2}),  # 0.142 dense
+    ("cs", 100, {"p_c": 0.3, "c": 20, "p": 0.3}),  # 0.264 dense
+    ("cs", 500, {"p_c": 0.1, "c": 50, "p": 0.05}),  # 0.021 CSR
+    ("cs", 500, {"p_c": 0.1, "c": 50, "p": 0.5}),  # 0.207 dense
+]
+
+
+def sample_id(spec):
+    model, n, params = spec
+    return f"{model}-{n}-" + "-".join(f"{k}{v}" for k, v in params.items())
+
+
+def seeded_sample(model, n, params):
+    """The first connected sample of the model under seed 1."""
+    from graphbench.generators import ModelConfig, ensure_connected
+
+    return ensure_connected(ModelConfig(model=model, n=n, params=params, seed=1))[0]

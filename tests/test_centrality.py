@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from oracles import (
+    DENSITY_CUT_SAMPLES,
     bf_betweenness,
     bf_subgraph_series,
     bf_walk_betweenness,
+    dense_betweenness,
     random_tree,
+    sample_id,
+    seeded_sample,
     unblocked_walk_betweenness,
 )
 
@@ -111,6 +115,21 @@ class TestBetweenness:
         for _ in range(10):
             g = _random_connected(int(rng.integers(5, 20)), 0.35, int(rng.integers(1e6)))
             assert np.max(np.abs(betweenness(g).values - bf_betweenness(g))) <= 1e-9
+
+    @pytest.mark.parametrize("spec", DENSITY_CUT_SAMPLES, ids=sample_id)
+    def test_matches_dense_kernel(self, spec):
+        # The dense branch repeats the kernel's products; the CSR branch
+        # sums each product in CSR order instead of BLAS order.
+        g = seeded_sample(*spec)
+        values, expected = betweenness(g).values, dense_betweenness(g)
+        if g.adjacency_operator is g.adjacency_matrix:
+            assert np.array_equal(values, expected)
+        else:
+            assert np.max(np.abs(values - expected) / expected.clip(min=1.0)) <= 1e-12
+
+    def test_census_bit_identical_to_dense_kernel(self, corpus6, corpus7):
+        for g in corpus6 + corpus7:
+            assert np.array_equal(betweenness(g).values, dense_betweenness(g))
 
 
 class TestEigenvector:
@@ -222,6 +241,56 @@ class TestWalkBetweenness:
         g = _connected_with_edges(n, m, seed=0)
         assert g.m == m
         assert np.array_equal(walk_betweenness(g).values, unblocked_walk_betweenness(g))
+
+
+# One seeded sample per generated model at n = 30, 100, 200 (geographical
+# graphs need a square vertex count: 36, 100, 196), on both sides of the
+# density cut of Graph.adjacency_operator.
+NETWORKX_SAMPLES = [
+    spec
+    for n, gr_n, cs in [(30, 36, {"p_c": 0.5, "c": 10, "p": 0.3}),
+                        (100, 100, {"p_c": 0.3, "c": 20, "p": 0.3}),
+                        (200, 196, {"p_c": 0.3, "c": 20, "p": 0.1})]
+    for spec in [("er", n, {"p": {30: 0.2, 100: 0.1, 200: 0.05}[n]}),
+                 ("sf", n, {"k": 2}),
+                 ("sw", n, {"k": 4, "p": 0.1}),
+                 ("gr", gr_n, {"kappa": 1.5}),
+                 ("cs", n, cs)]
+]
+
+
+class TestNetworkx:
+    """The geodesic measures against networkx, under pinned convention maps."""
+
+    @staticmethod
+    def _pair(spec):
+        nx = pytest.importorskip("networkx")
+        g = seeded_sample(*spec)
+        h = nx.empty_graph(g.n)
+        h.add_edges_from(g.edges.tolist())
+        return nx, g, h
+
+    @pytest.mark.parametrize("spec", NETWORKX_SAMPLES, ids=sample_id)
+    def test_betweenness(self, spec):
+        nx, g, h = self._pair(spec)
+        ref = nx.betweenness_centrality(h, normalized=False)
+        expected = np.array([ref[v] for v in range(g.n)])
+        assert np.max(np.abs(betweenness(g).values - expected)
+                      / expected.clip(min=1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("spec", NETWORKX_SAMPLES, ids=sample_id)
+    def test_closeness(self, spec):
+        nx, g, h = self._pair(spec)
+        ref = nx.closeness_centrality(h)
+        expected = np.array([ref[v] for v in range(g.n)]) / (g.n - 1)
+        assert np.allclose(closeness(g).values, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("spec", NETWORKX_SAMPLES, ids=sample_id)
+    def test_eccentricity(self, spec):
+        nx, g, h = self._pair(spec)
+        ref = nx.eccentricity(h)
+        expected = 1.0 / np.array([ref[v] for v in range(g.n)])
+        assert np.array_equal(eccentricity(g).values, expected)
 
 
 class TestInvariants:

@@ -1,7 +1,13 @@
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from oracles import DENSITY_CUT_SAMPLES, dense_geodesics, sample_id, seeded_sample
 
 from graphbench import (
     Graph,
@@ -266,6 +272,58 @@ class TestBfs:
             fresh = bfs_all_pairs(Graph(n, g.edges.tolist()))
             assert np.array_equal(bfs_all_pairs(g).dist, fresh.dist)
             assert np.array_equal(bfs_all_pairs(g).sigma, fresh.sigma)
+
+    @pytest.mark.parametrize("spec", DENSITY_CUT_SAMPLES, ids=sample_id)
+    def test_bit_identical_to_dense_kernel(self, spec):
+        g = seeded_sample(*spec)
+        geo = bfs_all_pairs(g)
+        dist, sigma = dense_geodesics(g)
+        assert np.array_equal(geo.dist, dist)
+        assert np.array_equal(geo.sigma, sigma)
+        assert sigma.max() < 2**53  # path counts are exact in float64
+
+    def test_census_bit_identical_to_dense_kernel(self, corpus6, corpus7):
+        for g in corpus6 + corpus7:
+            dist, sigma = dense_geodesics(g)
+            assert np.array_equal(g.geodesics.dist, dist)
+            assert np.array_equal(g.geodesics.sigma, sigma)
+
+
+class TestAdjacencyOperator:
+    @pytest.mark.parametrize("spec", DENSITY_CUT_SAMPLES, ids=sample_id)
+    def test_form_follows_density(self, spec):
+        g = seeded_sample(*spec)
+        op = g.adjacency_operator
+        assert isinstance(op, np.ndarray) == (2 * g.m * 25 > g.n**2)
+        assert g.adjacency_operator is op
+        dense = op if isinstance(op, np.ndarray) else op.toarray()
+        assert np.array_equal(dense, g.adjacency_matrix)
+
+    def test_cut_is_inclusive(self):
+        cycle = [(i, (i + 1) % 50) for i in range(50)]
+        assert not isinstance(Graph(50, cycle).adjacency_operator, np.ndarray)  # 2m = n**2/25
+        chorded = Graph(50, cycle + [(0, 25)])
+        assert chorded.adjacency_operator is chorded.adjacency_matrix
+
+    def test_census_graphs_are_dense(self, corpus_small, corpus6, corpus7):
+        # The one-vertex graph has no edge and no measure multiplies by it.
+        for g in corpus_small[1:] + corpus6 + corpus7:
+            assert g.adjacency_operator is g.adjacency_matrix
+
+    def test_small_graphs_leave_scipy_sparse_unimported(self):
+        code = (
+            "import sys\n"
+            "from graphbench import all_measures, enumerate_connected_nonisomorphic\n"
+            "for g in enumerate_connected_nonisomorphic(7)[::25]:\n"
+            "    all_measures(g)\n"
+            "assert 'scipy.sparse' not in sys.modules\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 class TestConnected:

@@ -109,6 +109,42 @@ class TestPlanning:
         with pytest.raises(ConfigError, match="parameter 'n' must be a whole number >= 1"):
             plan_experiments({"models": [{"model": "er", "n": [n], "p": [0.5]}]})
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("samples_per_cell", 2.5, "'samples_per_cell' must be a whole number, got 2.5"),
+        ("samples_per_cell", "3", "'samples_per_cell' must be a whole number, got '3'"),
+        ("samples_per_cell", True, "'samples_per_cell' must be a whole number, got True"),
+        ("max_retries", 3.9, "'max_retries' must be a whole number, got 3.9"),
+        ("max_retries", 5.0, "'max_retries' must be a whole number, got 5.0"),
+        ("base_seed", 1.7, "'base_seed' must be a whole number, got 1.7"),
+        ("base_seed", "7", "'base_seed' must be a whole number, got '7'"),
+        ("base_seed", False, "'base_seed' must be a whole number, got False"),
+        ("base_seed", -1, r"'base_seed' must be in \[0, 2\*\*64\), got -1"),
+        ("base_seed", 2**64, r"'base_seed' must be in \[0, 2\*\*64\), got 18446744073709551616"),
+    ])
+    def test_run_settings_must_be_whole_numbers(self, key, value, match):
+        with pytest.raises(ConfigError, match=match):
+            plan_experiments({"models": [{"model": "er", "n": [5], "p": [0.5]}],
+                              key: value})
+
+    @pytest.mark.parametrize("c_div", [2.5, "10", True])
+    def test_cs_c_div_must_be_a_whole_number(self, c_div):
+        with pytest.raises(ConfigError, match="'c_div' must be a whole number"):
+            plan_experiments({"models": [{"model": "cs", "n": [40], "p_c": [0.1],
+                                          "p": [0.5], "c_div": [c_div]}]})
+
+    @pytest.mark.parametrize("k", [2.5, "3", True])
+    def test_kg_k_must_be_a_whole_number(self, tmp_path, k):
+        path = tmp_path / "initiators.json"
+        path.write_text('{"a": [0.9, 0.5, 0.5, 0.1]}')
+        with pytest.raises(ConfigError, match="parameter 'k' must be a whole number"):
+            plan_experiments({"models": [{"model": "kg", "k": [k]}],
+                              "kronecker_initiators_path": str(path)})
+
+    def test_base_seed_bounds_accepted(self):
+        for seed in (0, 2**64 - 1):
+            assert plan_experiments({"models": [{"model": "er", "n": [5], "p": [0.5]}],
+                                     "base_seed": seed}).base_seed == seed
+
     def test_kg_needs_initiators(self):
         with pytest.raises(ConfigError, match="kronecker_initiators_path"):
             plan_experiments({"models": [{"model": "kg", "k": [3]}]})
