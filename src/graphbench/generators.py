@@ -36,7 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .graphs import Graph, is_connected
+from .graphs import Graph, _graph6_pairs, is_connected
 
 MODELS = ("cs", "er", "gr", "sf", "sw", "kg")
 
@@ -387,51 +387,48 @@ def ensure_connected(
     )
 
 
-def _permutation_bit_sources(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """For every vertex permutation, where each bit of a pair code comes from.
-
-    ``(i[k], j[k])`` is the k-th pair in code order; returns an
-    ``(n!, len(i))`` array whose row for a permutation maps each pair to
-    the code position of its image.
-    """
-    index = np.zeros((n, n), dtype=np.int64)
-    index[i, j] = index[j, i] = np.arange(i.size)
-    perms = np.array(list(itertools.permutations(range(n))))
-    return index[perms[:, i], perms[:, j]]
-
-
 def enumerate_connected_nonisomorphic(n: int) -> list[Graph]:
     """One representative per isomorphism class of connected graphs, n <= 7.
 
     Edge subsets are walked as adjacency bit-codes in ascending order. Each
     code not yet met starts a class, and its orbit over all vertex
     permutations is marked met, so every class is represented by its
-    minimum code. Connectivity is a class property, so only the
-    representatives are tested and the connected ones kept, in ascending
-    canonical order.
+    minimum code. The orbit is one product ``image @ bits``: row p of the
+    float32 table ``image`` holds, at each pair, the code weight of that
+    pair's image under vertex permutation p. Codes have ``n(n-1)/2 <= 21``
+    bits, so every partial sum is an integer below 2**24 and the float32
+    product is exact in any summation order. Connectivity is a class
+    property, so it is decided once for all representatives by repeated
+    squaring of their boolean ``A + I``, and only the connected ones become
+    graphs, in ascending canonical order.
     """
     if not 1 <= n <= 7:
         raise ValueError(f"census supports 1 <= n <= 7, got {n}")
     if n == 1:
         return [Graph(1)]
-    j, i = np.tril_indices(n, -1)  # graph6 order: the upper triangle by columns
-    pairs = np.column_stack((i, j))
-    npairs = i.size
-    sources = _permutation_bit_sources(n, i, j)
-    shifts = np.arange(npairs - 1, -1, -1, dtype=np.int64)
-    weights = 1 << shifts  # big-endian: the first pair is the top bit
-    alive = np.ones(1 << npairs, dtype=bool)
-    reps: list[Graph] = []
+    pairs = _graph6_pairs(n)
+    i, j = pairs.T
+    shifts = np.arange(i.size - 1, -1, -1)
+    assert i.size <= 24, "float32 orbit codes are exact below 2**24"
+    weight = np.zeros((n, n), dtype=np.float32)
+    weight[i, j] = weight[j, i] = 1 << shifts  # big-endian: the first pair is the top bit
+    perms = np.array(list(itertools.permutations(range(n))))
+    image = weight[perms[:, i], perms[:, j]]
+    alive = np.ones(1 << i.size, dtype=bool)
+    codes = []
     code = 0
     while True:
         code += int(np.argmax(alive[code:]))
         if not alive[code]:
             break
-        bits = (code >> shifts) & 1
-        alive[bits[sources] @ weights] = False
-        g = Graph(n, pairs[bits == 1])
-        if g.connected:
-            reps.append(g)
+        codes.append(code)
+        alive[(image @ ((code >> shifts) & 1).astype(np.float32)).astype(np.int64)] = False
+    bits = (np.array(codes)[:, None] >> shifts) & 1 == 1
+    reach = np.broadcast_to(np.eye(n, dtype=bool), (len(codes), n, n)).copy()
+    reach[:, i, j] = reach[:, j, i] = bits
+    for _ in range((n - 2).bit_length()):  # (A + I)**(2**s) spans paths of length n - 1
+        reach = reach @ reach
+    reps = [Graph(n, pairs[b]) for b in bits[reach[:, 0].all(axis=1)]]
     expected = CONNECTED_CLASS_COUNTS[n - 1]
     if len(reps) != expected:
         raise AssertionError(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -292,6 +292,16 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+@cache
+def _graph6_pairs(n: int) -> np.ndarray:
+    """Read-only ``(n*(n-1)/2, 2)`` array of the vertex pairs ``(i, j)``,
+    ``i < j``, in graph6 bit order."""
+    j, i = np.tril_indices(n, -1)  # the upper triangle by columns is the lower by rows
+    pairs = np.column_stack((i, j))
+    pairs.flags.writeable = False
+    return pairs
+
+
 def parse_graph6(record: str) -> Graph:
     """Decode one short-form graph6 record (n <= 62)."""
     record = record.strip()
@@ -315,9 +325,7 @@ def parse_graph6(record: str) -> Graph:
     bits = ((vals[1:, None] >> _BIT_SHIFTS) & 1).ravel()
     if bits[nbits:].any():
         raise FormatError("nonzero padding bits in graph6 record")
-    # graph6 bit order, the upper triangle by columns, is the lower triangle by rows.
-    j, i = np.tril_indices(n, -1)
-    return Graph(n, np.column_stack((i, j))[bits[:nbits] == 1])
+    return Graph(n, _graph6_pairs(n)[bits[:nbits] == 1])
 
 
 def format_graph6(g: Graph) -> str:
@@ -325,7 +333,7 @@ def format_graph6(g: Graph) -> str:
     n = g.n
     if n > 62:
         raise FormatError(f"short-form graph6 supports n <= 62, got n={n}")
-    bits = g.adjacency_matrix[np.tril_indices(n, -1)].astype(np.int64)  # graph6 order
+    bits = g.adjacency_matrix[tuple(_graph6_pairs(n).T)].astype(np.int64)
     bits = np.concatenate((bits, np.zeros(-bits.size % 6, dtype=np.int64)))
     groups = bits.reshape(-1, 6) @ (1 << _BIT_SHIFTS) + 63
     return chr(n + 63) + "".join(map(chr, groups.tolist()))

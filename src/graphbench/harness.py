@@ -476,9 +476,14 @@ def recorded_confidence(results_dir) -> float:
     if not manifest.is_file():
         return _DEFAULT_CONFIDENCE
     try:
-        return json.loads(manifest.read_text(encoding="utf-8"))["confidence"]
+        confidence = json.loads(manifest.read_text(encoding="utf-8"))["confidence"]
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{manifest}: not valid JSON: {exc}") from None
     except (KeyError, TypeError):
         raise ValueError(f"{manifest}: no confidence level recorded") from None
+    if type(confidence) is not float or not 0.0 < confidence < 1.0:
+        raise ValueError(f"{manifest}: confidence must be a number in (0, 1), got {confidence!r}")
+    return confidence
 
 
 def _check_tau(path, tau) -> None:

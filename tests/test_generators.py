@@ -29,7 +29,7 @@ from graphbench import (
     small_world,
     splitmix64,
 )
-from graphbench.generators import DEFAULT_MAX_RETRIES
+from graphbench.generators import CONNECTED_CLASS_COUNTS, DEFAULT_MAX_RETRIES
 
 
 class TestSeeds:
@@ -318,6 +318,19 @@ class TestCensus:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             enumerate_connected_nonisomorphic(8)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_graphs_built_only_for_connected_classes(self, n, monkeypatch):
+        built = []
+        init = Graph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        enumerate_connected_nonisomorphic(n)
+        assert len(built) == CONNECTED_CLASS_COUNTS[n - 1]
 
     @pytest.mark.parametrize("n, digest", [
         (5, "0e90fd086c9d638cd8fdc133931d35474b837a0a953beae89ae1015692920f61"),

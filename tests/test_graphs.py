@@ -22,6 +22,7 @@ from graphbench import (
     parse_edge_list,
     parse_graph6,
 )
+from graphbench.graphs import _graph6_pairs
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -178,6 +179,15 @@ class TestGraph6:
 
     def test_k3(self):
         assert parse_graph6("Bw") == K3
+
+    def test_bit_order_cached_and_read_only(self):
+        pairs = _graph6_pairs(4)
+        assert pairs.tolist() == [[0, 1], [0, 2], [1, 2], [0, 3], [1, 3], [2, 3]]
+        assert _graph6_pairs(4) is pairs
+        with pytest.raises(ValueError):
+            pairs[0, 0] = 1
+        # One bit per pair, the first pair the top bit: 100000 is 32 + 63.
+        assert format_graph6(Graph(4, [(0, 1)])) == "C" + chr(95)
 
     def test_bad_byte(self):
         with pytest.raises(FormatError, match="63..126"):

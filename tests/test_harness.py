@@ -569,6 +569,38 @@ class TestCli:
         assert cli_main(["tables", "--results", str(results),
                          "--out-dir", str(tmp_path / "bad")]) == 2
 
+    @pytest.mark.parametrize("confidence", [
+        "0.99", True, False, None, [0.9], 0, 1, 1.5, 1.0, 0.0, -0.5, float("nan"),
+    ])
+    def test_tables_reject_bad_recorded_confidence(self, mixed_dir, tmp_path, capsys,
+                                                   confidence):
+        manifest = mixed_dir / "manifest.json"
+        good = manifest.read_text()
+        recorded = json.loads(good)
+        recorded["confidence"] = confidence
+        manifest.write_text(json.dumps(recorded))
+        try:
+            rc = cli_main(["tables", "--results", str(mixed_dir),
+                           "--out-dir", str(tmp_path / "bad")])
+        finally:
+            manifest.write_text(good)
+        assert rc == 2
+        assert f"error: {manifest}: confidence must be a number in (0, 1)" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "bad").exists()
+
+    def test_tables_reject_unparsable_manifest(self, mixed_dir, tmp_path, capsys):
+        manifest = mixed_dir / "manifest.json"
+        good = manifest.read_text()
+        manifest.write_text("{not json")
+        try:
+            rc = cli_main(["tables", "--results", str(mixed_dir),
+                           "--out-dir", str(tmp_path / "bad")])
+        finally:
+            manifest.write_text(good)
+        assert rc == 2
+        assert f"error: {manifest}: not valid JSON" in capsys.readouterr().err
+
     def test_partial_failure_exit_code(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({

@@ -1,7 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
+
+from oracles import DENSITY_CUT_SAMPLES, sample_id, seeded_sample
 
 from graphbench import SingularMatrixError, invert, solve_linear, sym_eigen
+
+
+def _scipy_inverse(a):
+    return lu_solve(lu_factor(a), np.eye(a.shape[0]))
+
+
+def _information_matrix(g):
+    """``D - A + J``, the matrix the information measure inverts."""
+    return np.diag(g.degrees.astype(float)) - g.adjacency_matrix + 1.0
 
 
 class TestSolve:
@@ -28,6 +42,56 @@ class TestSolve:
             solve_linear(np.ones((2, 3)), np.eye(2))
         with pytest.raises(ValueError):
             solve_linear(np.eye(3), np.eye(2))
+
+    def test_empty_system(self):
+        assert solve_linear(np.zeros((0, 0)), np.zeros((0, 2))).shape == (0, 2)
+        assert invert(np.zeros((0, 0))).shape == (0, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        a = np.eye(3)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_linear(a, np.eye(3))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_linear(np.eye(3), np.array([1.0, bad, 0.0]))
+
+    def test_exactly_singular_rejected_without_warning(self):
+        a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError):
+                solve_linear(a, np.eye(3))
+            with pytest.raises(SingularMatrixError):
+                invert(np.zeros((2, 2)))
+
+    def test_inputs_left_unchanged(self):
+        a = np.asfortranarray([[4.0, 1.0], [2.0, 3.0]])
+        rhs = np.asfortranarray([[1.0, 0.0], [5.0, 1.0]])
+        before = a.copy(), rhs.copy()
+        solve_linear(a, rhs)
+        assert np.array_equal(a, before[0]) and np.array_equal(rhs, before[1])
+
+    def test_vector_rhs(self):
+        a = np.array([[4.0, 1.0], [2.0, 3.0]])
+        x = solve_linear(a, [1.0, 2.0])
+        assert x.shape == (2,)
+        assert np.array_equal(x, lu_solve(lu_factor(a), np.array([1.0, 2.0])))
+
+    def test_census_inverse_bit_identical_to_scipy(self, corpus6, corpus7):
+        for g in corpus6 + corpus7:
+            a = _information_matrix(g)
+            assert np.array_equal(invert(a), _scipy_inverse(a)), g.edges
+
+    @pytest.mark.parametrize(
+        "spec", [s for s in DENSITY_CUT_SAMPLES if s[0] in ("er", "sf", "sw", "gr")],
+        ids=sample_id,
+    )
+    def test_inverse_bit_identical_to_scipy(self, spec):
+        g = seeded_sample(*spec)
+        grounded = (np.diag(g.degrees.astype(float)) - g.adjacency_matrix)[:-1, :-1]
+        for a in (_information_matrix(g), grounded):
+            assert np.array_equal(invert(a), _scipy_inverse(a))
 
     def test_residual_on_random_well_conditioned(self):
         rng = np.random.default_rng(42)
