@@ -352,14 +352,13 @@ def _run_sample(
             t0 = perf_counter()
             vectors[m] = compute_measure(g, m)
             result.timings[m] = perf_counter() - t0
-        for m, vec in vectors.items():
-            count = stats.distinct_count(vec.values)
+        scores = np.stack([vectors[m].values for m in metrics])
+        for m, count in zip(metrics, stats.distinct_counts(scores).tolist()):
             result.distinct_counts[m] = count
             result.granularity[m] = 100.0 * count / g.n
-        for a, b in itertools.combinations(metrics, 2):
-            result.tau[_pair(a, b)] = stats.kendall_tau_b(
-                vectors[a].values, vectors[b].values
-            )
+        tau = stats.kendall_tau_b_matrix(scores)
+        for (i, a), (j, b) in itertools.combinations(enumerate(metrics), 2):
+            result.tau[_pair(a, b)] = float(tau[i, j])
         if keep_vectors:
             result.vectors = {
                 m: [float(x) for x in vec.values] for m, vec in vectors.items()

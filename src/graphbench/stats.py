@@ -1,18 +1,22 @@
 """Rank correlation with tie correction, granularity, and confidence intervals.
 
-``kendall_tau_b`` builds the boolean order matrices ``gx = x_i > x_j``
-and ``gy`` over all ordered vertex pairs (O(n^2) bytes, vectorized; an
-eighth of the size of float64 sign matrices). With ``nx`` and ``ny`` the
-numbers of pairs not tied in each variable (the true entries of ``gx``
-and ``gy``), ``C = count(gx & gy)`` concordant and
-``D = count(gx & gy.T)`` discordant pairs, it returns
-``2(C - D) / sqrt(2nx * 2ny)``: concordant minus discordant pairs over
-the geometric mean of the pair counts not tied in each variable, which
-is the standard tie correction. Pairs tied in either variable add
-nothing to the numerator. The doubled counts are the ordered-pair sums
-of ``sign(x_i - x_j) * sign(y_i - y_j)`` and of the nonzero signs; the
-doubling cancels exactly, and every count is an integer, so the result
-does not depend on how the pairs are summed.
+Each statistic has one kernel, which takes a sample's ``(k, n)`` score
+matrix (one row per measure) whole; the one-vector functions are thin
+calls into it.
+
+``kendall_tau_b_matrix`` rests on the Gram identity. Let ``S`` hold, for
+each row, the ordered-pair signs ``sign(x_i - x_j)`` over all ``n**2``
+ordered vertex pairs, and let ``G = S @ S.T``. Then ``G[a, b]`` is
+``2(C - D)``, twice the concordant minus the discordant pairs of rows a
+and b, and ``G[a, a]`` is ``2 n_a``, twice the pairs not tied in row a.
+Tau-b is ``G[a, b] / sqrt(G[a, a] * G[b, b])``: concordant minus
+discordant pairs over the geometric mean of the pair counts not tied in
+each variable, which is the standard tie correction. Pairs tied in
+either variable add nothing to the numerator. ``G`` is accumulated in
+float64 over blocks of ``_TAU_BLOCK`` vertices, so no ``(k, n**2)`` or
+n×n float64 array is held. Every entry is an integer below 2**53, so the
+sum is exact whatever the block or BLAS summation order, and the
+doubling cancels exactly: the result is the float of pair counting.
 NaN and infinite inputs are rejected with :class:`ValueError`.
 Degenerate inputs are pinned by convention: two constant vectors
 correlate at 1.0 (identical trivial rankings), exactly one constant
@@ -23,11 +27,12 @@ vector yields 0.0. Both conventions are surfaced as
 six decimal places, half away from zero, on the shortest decimal
 representation; this matches the fixed 6-decimal print convention and is
 bit-reproducible. ``round6`` is that rounding in :mod:`decimal`.
-``distinct_count`` takes a float fast path that gives the same keys
-without a ``Decimal`` per value: it rounds ``|v| * 1e6`` half up in
-float64 and sends only values near a rounding boundary or too large for
-exact float integers through ``round6`` (the argument is in its
-docstring). Granularity rejects NaN and infinite values.
+``distinct_counts`` gives the same keys without a ``Decimal`` per value:
+it rounds ``|v| * 1e6`` half up in float64 for every row at once, sorts
+each row and counts the changes. Only a row holding a value near a
+rounding boundary, or too large for exact float integers, counts through
+``round6`` (the argument is in its docstring). Granularity rejects NaN
+and infinite values.
 """
 
 from __future__ import annotations
@@ -40,10 +45,44 @@ import numpy as np
 
 TAU_CONVENTIONS = {"both_constant": 1.0, "one_constant": 0.0}
 
+# Vertices per block of the sign matrix: eight rows at n = 500 take
+# 8 * 32 * 500 float64 signs, about 1 MB.
+_TAU_BLOCK = 32
+
 _SIX_PLACES = decimal.Decimal("0.000001")
 
 # Wide enough for any float64 magnitude (~1e308) quantized to 6 decimals.
 _DECIMAL_CTX = decimal.Context(prec=340, rounding=decimal.ROUND_HALF_UP)
+
+
+def _score_rows(rows) -> np.ndarray:
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError(f"expected a (k, n) array, got {rows.ndim} dimension(s)")
+    return rows
+
+
+def kendall_tau_b_matrix(rows) -> np.ndarray:
+    """The ``(k, k)`` Kendall tau-b matrix of the rows of a ``(k, n)``
+    array (n >= 2)."""
+    rows = _score_rows(rows)
+    k, n = rows.shape
+    if n < 2:
+        raise ValueError("need at least two observations")
+    if not np.isfinite(rows).all():
+        raise ValueError("inputs must be finite (no NaN or inf)")
+    gram = np.zeros((k, k))
+    for lo in range(0, n, _TAU_BLOCK):
+        signs = np.sign(rows[:, lo : lo + _TAU_BLOCK, None] - rows[:, None, :])
+        signs = signs.reshape(k, -1)
+        gram += signs @ signs.T
+    untied = np.diag(gram)
+    denom = np.sqrt(np.multiply.outer(untied, untied))
+    tau = np.full((k, k), TAU_CONVENTIONS["one_constant"])
+    np.divide(gram, denom, out=tau, where=denom > 0)
+    constant = untied == 0
+    tau[np.ix_(constant, constant)] = TAU_CONVENTIONS["both_constant"]
+    return tau
 
 
 def kendall_tau_b(x, y) -> float:
@@ -54,23 +93,7 @@ def kendall_tau_b(x, y) -> float:
         raise ValueError("inputs must be one-dimensional")
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    if x.size < 2:
-        raise ValueError("need at least two observations")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("inputs must be finite (no NaN or inf)")
-    gx = np.greater.outer(x, x)
-    gy = np.greater.outer(y, y)
-    nx = np.count_nonzero(gx)
-    ny = np.count_nonzero(gy)
-    if nx == 0 and ny == 0:
-        return TAU_CONVENTIONS["both_constant"]
-    if nx == 0 or ny == 0:
-        return TAU_CONVENTIONS["one_constant"]
-    concordant = np.count_nonzero(gx & gy)
-    discordant = np.count_nonzero(gx & gy.T)
-    return float(2 * (concordant - discordant)) / np.sqrt(
-        float(2 * nx) * float(2 * ny)
-    )
+    return float(kendall_tau_b_matrix(np.stack((x, y)))[0, 1])
 
 
 def round6(value: float) -> decimal.Decimal:
@@ -80,12 +103,13 @@ def round6(value: float) -> decimal.Decimal:
     )
 
 
-def distinct_count(values) -> int:
-    """Number of distinct values at 6-decimal resolution.
+def distinct_counts(rows) -> np.ndarray:
+    """Number of distinct values at 6-decimal resolution in each row of a
+    ``(k, n)`` array.
 
-    Equal to ``len({round6(v) for v in values})``, computed mostly in
-    float64. For finite ``v``, let ``x = |v|``, ``d`` the value of
-    ``repr(x)`` (the shortest decimal that reads back as ``x``) and
+    Row r's count equals ``len({round6(v) for v in rows[r]})``, computed
+    mostly in float64. For finite ``v``, let ``x = |v|``, ``d`` the value
+    of ``repr(x)`` (the shortest decimal that reads back as ``x``) and
     ``p = fl(x * 1e6)``. ``round6`` rounds ``P = d * 1e6`` half up to an
     integer count of millionths; the fast path rounds ``p`` instead, as
     ``floor(p + 0.5)``, and reattaches the sign. The two agree unless a
@@ -100,26 +124,36 @@ def distinct_count(values) -> int:
       ``p < 0.5``), so it lands on the same side of every integer as
       ``p + 0.5`` unless ``p`` is that close to a half-integer.
 
-    So values whose ``p`` lies within 4 ulps of a half-integer go through
-    ``round6``; all others use the float key. From ``p >= 2**49`` on, an
-    ulp is at least 1/8, so every such value is within 4 ulps of a
-    half-integer: large values, where float64 steps reach 1 at ``2**52``,
-    always take the exact path. Keys are counted in millionths:
-    ``round6(v)`` scaled by 1e6 is an integral ``Decimal``, and an
-    integral ``Decimal`` equals, and hashes like, the float of the same
-    integer, so one set holds both kinds.
+    So a row holding a value whose ``p`` lies within 4 ulps of a
+    half-integer counts that value through ``round6``; every other row
+    is counted on its float keys alone, by sorting them and counting the
+    changes (``-0.0 == 0.0``, as ``round6`` has it). From ``p >= 2**49``
+    on, an ulp is at least 1/8, so every such value is within 4 ulps of
+    a half-integer: large values, where float64 steps reach 1 at
+    ``2**52``, always take the exact path. Keys are counted in
+    millionths: ``round6(v)`` scaled by 1e6 is an integral ``Decimal``,
+    and an integral ``Decimal`` equals, and hashes like, the float of the
+    same integer, so one set holds both kinds.
     """
-    v = np.asarray(values, dtype=float)
+    v = _score_rows(rows)
     if not np.isfinite(v).all():
         raise ValueError("values must be finite (no NaN or inf)")
     # The clip keeps huge values from overflowing; they stay above 2**49.
     p = np.minimum(np.abs(v), 1e10) * 1e6
     exact = np.abs(p - np.floor(p) - 0.5) <= 4.0 * np.spacing(p)
     keys = np.copysign(np.floor(p + 0.5), v)
-    if not exact.any():
-        return len(np.unique(keys))
-    slow = {round6(x).scaleb(6, _DECIMAL_CTX) for x in v[exact]}
-    return len(slow.union(keys[~exact].tolist()))
+    steps = np.diff(np.sort(keys, axis=1), axis=1)
+    counts = np.count_nonzero(steps, axis=1) + int(v.shape[1] > 0)
+    for r in np.flatnonzero(exact.any(axis=1)):
+        slow = {round6(x).scaleb(6, _DECIMAL_CTX) for x in v[r, exact[r]]}
+        counts[r] = len(slow.union(keys[r, ~exact[r]].tolist()))
+    return counts
+
+
+def distinct_count(values) -> int:
+    """Number of distinct values at 6-decimal resolution
+    (``len({round6(v) for v in values})``; see :func:`distinct_counts`)."""
+    return int(distinct_counts(np.asarray(values, dtype=float).reshape(1, -1))[0])
 
 
 def granularity(values) -> float:

@@ -5,11 +5,12 @@ plain-Python BFS instead of matrix products, explicit path enumeration
 instead of dependency accumulation, per-pair current solves instead of
 per-edge aggregation, and a pair-counting loop for tau-b.
 
-The ``unblocked_*`` and ``dense_*`` functions are the exception: they keep
-the earlier, simpler forms of optimised kernels (whole-chunk walk
-betweenness, float64 sign-matrix tau-b, all-sources BFS and betweenness
-through the dense adjacency matrix), so tests can demand exact equality,
-not a tolerance, of the optimised ones.
+The ``unblocked_*``, ``order_matrix_*`` and ``dense_*`` functions are the
+exception: they keep the earlier, simpler forms of optimised kernels
+(whole-chunk walk betweenness, float64 sign-matrix and boolean
+order-matrix tau-b, all-sources BFS and betweenness through the dense
+adjacency matrix), so tests can demand exact equality, not a tolerance,
+of the optimised ones.
 """
 
 from collections import deque
@@ -218,6 +219,26 @@ def unblocked_kendall_tau_b(x, y):
     )
 
 
+def order_matrix_kendall_tau_b(x, y):
+    """Tau-b of one pair as ``2(C - D) / sqrt(2nx * 2ny)``, counted on the
+    boolean order matrices ``x_i > x_j`` and ``y_i > y_j``."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    gx = np.greater.outer(x, x)
+    gy = np.greater.outer(y, y)
+    nx = np.count_nonzero(gx)
+    ny = np.count_nonzero(gy)
+    if nx == 0 and ny == 0:
+        return 1.0
+    if nx == 0 or ny == 0:
+        return 0.0
+    concordant = np.count_nonzero(gx & gy)
+    discordant = np.count_nonzero(gx & gy.T)
+    return float(2 * (concordant - discordant)) / np.sqrt(
+        float(2 * nx) * float(2 * ny)
+    )
+
+
 def dense_geodesics(g):
     """All-sources BFS with one dense ``(sigma * frontier) @ A`` per level;
     returns ``(dist, sigma)``."""
@@ -281,7 +302,10 @@ DENSITY_CUT_SAMPLES = [
 
 def sample_id(spec):
     model, n, params = spec
-    return f"{model}-{n}-" + "-".join(f"{k}{v}" for k, v in params.items())
+    return f"{model}-{n}-" + "-".join(
+        f"{k}{'_'.join(map(str, v)) if isinstance(v, tuple) else v}"
+        for k, v in params.items()
+    )
 
 
 def seeded_sample(model, n, params):

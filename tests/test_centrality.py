@@ -245,7 +245,8 @@ class TestWalkBetweenness:
 
 # One seeded sample per generated model at n = 30, 100, 200 (geographical
 # graphs need a square vertex count: 36, 100, 196), on both sides of the
-# density cut of Graph.adjacency_operator.
+# density cut of Graph.adjacency_operator, and one Kronecker graph on
+# 2**7 vertices with a core-periphery initiator.
 NETWORKX_SAMPLES = [
     spec
     for n, gr_n, cs in [(30, 36, {"p_c": 0.5, "c": 10, "p": 0.3}),
@@ -256,11 +257,11 @@ NETWORKX_SAMPLES = [
                  ("sw", n, {"k": 4, "p": 0.1}),
                  ("gr", gr_n, {"kappa": 1.5}),
                  ("cs", n, cs)]
-]
+] + [("kg", 128, {"initiator": (0.99, 0.7, 0.7, 0.3), "k": 7})]
 
 
 class TestNetworkx:
-    """The geodesic measures against networkx, under pinned convention maps."""
+    """Every measure but degree against networkx, under pinned convention maps."""
 
     @staticmethod
     def _pair(spec):
@@ -291,6 +292,38 @@ class TestNetworkx:
         ref = nx.eccentricity(h)
         expected = 1.0 / np.array([ref[v] for v in range(g.n)])
         assert np.array_equal(eccentricity(g).values, expected)
+
+    @staticmethod
+    def _values(ref, g):
+        return np.array([ref[v] for v in range(g.n)])
+
+    @pytest.mark.parametrize("spec", NETWORKX_SAMPLES, ids=sample_id)
+    def test_information(self, spec):
+        nx, g, h = self._pair(spec)
+        expected = g.n * self._values(nx.information_centrality(h), g)
+        assert np.allclose(information(g).values, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("spec", NETWORKX_SAMPLES, ids=sample_id)
+    def test_walk_betweenness(self, spec):
+        nx, g, h = self._pair(spec)
+        ref = nx.current_flow_betweenness_centrality(h, normalized=False)
+        expected = self._values(ref, g) + (g.n - 1)
+        assert np.allclose(walk_betweenness(g).values, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("spec", NETWORKX_SAMPLES, ids=sample_id)
+    def test_subgraph(self, spec):
+        nx, g, h = self._pair(spec)
+        expected = self._values(nx.subgraph_centrality(h), g)
+        assert np.allclose(subgraph(g).values, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("spec", NETWORKX_SAMPLES, ids=sample_id)
+    def test_eigenvector(self, spec):
+        # Power iteration stops at a step below 1e-12 on a sum-1 iterate,
+        # so scaled to a maximum of 1 it is good to about 1e-8.
+        nx, g, h = self._pair(spec)
+        expected = self._values(nx.eigenvector_centrality_numpy(h), g)
+        expected /= expected.max()
+        assert np.max(np.abs(eigenvector(g).values - expected)) <= 1e-8
 
 
 class TestInvariants:

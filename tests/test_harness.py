@@ -4,10 +4,14 @@ import re
 import numpy as np
 import pytest
 
+from oracles import bf_kendall_tau_b
+
 from graphbench import (
     ConfigError,
     correlation_matrix,
+    distinct_count,
     emit_heatmap,
+    kendall_tau_b,
     load_results,
     plan_experiments,
     run_experiment,
@@ -296,6 +300,31 @@ class TestRun:
         results = run_experiment(plan, keep_vectors=True)
         assert set(results[0].vectors) == set(results[0].distinct_counts)
         assert len(results[0].vectors["degree"]) == 30
+
+    def test_statistics_match_one_dimensional_forms(self, tmp_path):
+        # The stacked kernels against the per-vector statistics, on every
+        # record of a mixed run: tau indexed by the right measure pair,
+        # counts by the right measure.
+        config = _tiny_config(tmp_path / "out", models=[
+            {"model": "nonisomorphic", "n": [5]},
+            {"model": "er", "n": [30], "p": [0.3]},
+            {"model": "sw", "n": [40], "k": [4], "p": [0.3]},
+        ])
+        results = run_experiment(plan_experiments(config), keep_vectors=True)
+        assert len(results) == 21 + 2 + 2
+        for r in results:
+            assert r.error is None
+            assert len(r.tau) == 28
+            for pair, tau in r.tau.items():
+                a, b = pair.split("|")
+                assert tau == kendall_tau_b(r.vectors[a], r.vectors[b]), pair
+                assert tau == bf_kendall_tau_b(r.vectors[a], r.vectors[b]), pair
+            assert r.distinct_counts == {
+                m: distinct_count(v) for m, v in r.vectors.items()
+            }
+            assert r.granularity == {
+                m: 100.0 * distinct_count(v) / r.n for m, v in r.vectors.items()
+            }
 
     def test_metric_subset(self, tmp_path):
         config = _tiny_config(tmp_path / "out", metrics=["degree", "closeness"])

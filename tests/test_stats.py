@@ -1,9 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bf_kendall_tau_b, unblocked_kendall_tau_b
+from oracles import (
+    bf_kendall_tau_b,
+    order_matrix_kendall_tau_b,
+    sample_id,
+    seeded_sample,
+    unblocked_kendall_tau_b,
+)
 
 from graphbench import (
     all_measures,
@@ -16,6 +24,8 @@ from graphbench import (
     mean_ci,
     round6,
 )
+from graphbench import stats
+from graphbench.stats import distinct_counts, kendall_tau_b_matrix
 
 
 class TestKendallTauB:
@@ -125,6 +135,93 @@ class TestKendallTauB:
                 kendall_tau_b(x, y)
 
 
+# Seeded n = 500 samples of desk experiment cells (gr needs a square n).
+DESK_500_SAMPLES = [
+    ("er", 500, {"p": 0.1}),
+    ("sf", 500, {"k": 2}),
+    ("sw", 500, {"k": 4, "p": 0.1}),
+    ("gr", 484, {"kappa": 1.5}),
+    ("cs", 500, {"p_c": 0.1, "c": 50, "p": 0.5}),
+]
+
+
+def _score_matrix(g):
+    return np.stack([v.values for v in all_measures(g).values()])
+
+
+def _assert_matches_pair_oracles(rows, tau, brute_force=True):
+    k = len(rows)
+    assert tau.shape == (k, k)
+    assert np.array_equal(np.diag(tau), np.ones(k))
+    assert np.array_equal(tau, tau.T)
+    for a in range(k):
+        for b in range(a + 1, k):
+            assert tau[a, b] == order_matrix_kendall_tau_b(rows[a], rows[b])
+            assert tau[a, b] == kendall_tau_b(rows[a], rows[b])
+            if brute_force:
+                assert tau[a, b] == bf_kendall_tau_b(list(rows[a]), list(rows[b]))
+
+
+# Rows over a small alphabet, so most pairs are tied in one row or both.
+_TIE_HEAVY_ROWS = st.integers(2, 30).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(0, 3).map(float), min_size=n, max_size=n),
+        min_size=1, max_size=8,
+    )
+)
+
+
+class TestKendallTauBMatrix:
+    def test_census_bit_identical_to_pair_oracles(self, corpus6, corpus7):
+        for g in (*corpus6, *corpus7):
+            rows = _score_matrix(g)
+            _assert_matches_pair_oracles(rows, kendall_tau_b_matrix(rows))
+
+    @pytest.mark.parametrize("spec", DESK_500_SAMPLES, ids=sample_id)
+    def test_desk_sample_bit_identical_to_pair_oracles(self, spec):
+        # The pure-Python pair counter takes 0.2 s a pair at n = 500, so it
+        # checks the tie-heavy sf sample only; the census test runs it on
+        # every pair.
+        rows = _score_matrix(seeded_sample(*spec))
+        _assert_matches_pair_oracles(rows, kendall_tau_b_matrix(rows),
+                                     brute_force=spec[0] == "sf")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TIE_HEAVY_ROWS)
+    def test_tie_heavy_rows_match_pair_oracles(self, rows):
+        rows = np.array(rows)
+        _assert_matches_pair_oracles(rows, kendall_tau_b_matrix(rows))
+
+    def test_constant_row_conventions_without_warning(self):
+        rows = [[4, 4, 4], [1, 2, 3], [7, 7, 7], [3, 2, 1]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau = kendall_tau_b_matrix(rows)
+            single = kendall_tau_b_matrix([[5, 5]])
+        assert tau.tolist() == [
+            [1.0, 0.0, 1.0, 0.0],
+            [0.0, 1.0, 0.0, -1.0],
+            [1.0, 0.0, 1.0, 0.0],
+            [0.0, -1.0, 0.0, 1.0],
+        ]
+        assert single.tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            kendall_tau_b_matrix([[1.0, 2.0, 3.0], [1.0, bad, 3.0]])
+
+    @pytest.mark.parametrize("rows", [[1.0, 2.0, 3.0], 1.0, np.ones((2, 3, 4))],
+                             ids=["1-D", "0-D", "3-D"])
+    def test_non_matrix_rejected(self, rows):
+        with pytest.raises(ValueError, match=r"\(k, n\) array"):
+            kendall_tau_b_matrix(rows)
+
+    def test_single_observation_rejected(self):
+        with pytest.raises(ValueError, match="two observations"):
+            kendall_tau_b_matrix([[1.0], [2.0]])
+
+
 def _nudge(value, steps):
     for _ in range(abs(steps)):
         value = float(np.nextafter(value, np.inf if steps > 0 else -np.inf))
@@ -203,6 +300,51 @@ class TestGranularity:
     @example([1e303, 2e303, -1.7e308])  # v * 1e6 overflows
     def test_distinct_count_matches_decimal_rounding(self, values):
         assert distinct_count(values) == len({round6(v) for v in values})
+
+
+class TestDistinctCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ROUNDING_GROUPS, min_size=1, max_size=12).map(
+        lambda groups: [v for group in groups for v in group]).filter(bool),
+        st.integers(0, 3))
+    def test_rows_match_decimal_rounding(self, values, shift):
+        # Rows beside the generated one: a rotation of it, a row of
+        # plain thirds that stays on the float path, and a row forced
+        # onto the exact path by one half-way value.
+        n = len(values)
+        plain = [i / 3.0 for i in range(n)]
+        rows = np.array([values, np.roll(values, shift), plain,
+                         [0.0000005, *plain[1:]]])
+        expected = [len({round6(v) for v in row}) for row in rows]
+        assert distinct_counts(rows).tolist() == expected
+
+    def test_only_rows_near_a_half_way_point_take_the_exact_path(self, monkeypatch):
+        rows = np.array([[0.25, 0.5, 0.75, 0.25],
+                         [0.25, 0.0000005, 0.000001, 0.75],
+                         [1.0, 2.0, 3.0, 3.0000001],
+                         [1.4999995, -1.4999995, 1.5, -1.5]])
+        seen = []
+
+        def spy(value):
+            seen.append(value)
+            return round6(value)
+
+        monkeypatch.setattr(stats, "round6", spy)
+        assert distinct_counts(rows).tolist() == [3, 3, 3, 2]
+        assert seen == [0.0000005, 1.4999995, -1.4999995]
+
+    def test_empty_rows(self):
+        assert distinct_counts(np.empty((3, 0))).tolist() == [0, 0, 0]
+        assert distinct_count([]) == 0
+
+    def test_non_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"\(k, n\) array"):
+            distinct_counts([1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            distinct_counts([[1.0, 2.0], [bad, 2.0]])
 
 
 class TestMeanCi:
