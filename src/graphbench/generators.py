@@ -316,16 +316,19 @@ class ModelConfig:
 
 
 def _model_params(cfg: ModelConfig) -> Mapping[str, object]:
-    """The configuration's parameters, once every one its model reads is present."""
+    """``cfg.params``, once all its model reads are present and k, c are ints."""
     missing = [name for name in _MODEL_PARAMS[cfg.model] if name not in cfg.params]
     if missing:
         raise ValueError(f"model {cfg.model!r} is missing parameter {', '.join(missing)}")
+    for name in {"k", "c"}.intersection(_MODEL_PARAMS[cfg.model]):
+        if type(value := cfg.params[name]) is not int:  # 2.5, "3" or True: never truncated
+            raise ValueError(f"parameter '{name}' must be a whole number, got {value!r}")
     return cfg.params
 
 
 def _cs_args(p: Mapping[str, object]) -> tuple[float, float, int]:
     """``(p_c, p, c)`` in the order :func:`community_structure` takes them."""
-    return float(p["p_c"]), float(p["p"]), int(p["c"])
+    return float(p["p_c"]), float(p["p"]), p["c"]
 
 
 def generate(cfg: ModelConfig) -> Graph:
@@ -334,20 +337,18 @@ def generate(cfg: ModelConfig) -> Graph:
     if cfg.model == "er":
         return erdos_renyi(cfg.n, float(p["p"]), cfg.seed)
     if cfg.model == "sf":
-        return scale_free(cfg.n, int(p["k"]), cfg.seed)
+        return scale_free(cfg.n, p["k"], cfg.seed)
     if cfg.model == "sw":
-        return small_world(cfg.n, int(p["k"]), float(p["p"]), cfg.seed)
+        return small_world(cfg.n, p["k"], float(p["p"]), cfg.seed)
     if cfg.model == "gr":
         return geographical(cfg.n, float(p["kappa"]), cfg.seed)
     if cfg.model == "cs":
         return community_structure(cfg.n, *_cs_args(p), cfg.seed)
-    if cfg.model == "kg":
-        initiator = KroneckerInitiator(
-            name=str(p.get("initiator_name", "inline")),
-            p=tuple(float(x) for x in p["initiator"]),
-        )
-        return kronecker(initiator, int(p["k"]), cfg.seed)
-    raise ValueError(f"unknown model {cfg.model!r}")
+    initiator = KroneckerInitiator(  # kg: ModelConfig admits no other model
+        name=str(p.get("initiator_name", "inline")),
+        p=tuple(float(x) for x in p["initiator"]),
+    )
+    return kronecker(initiator, p["k"], cfg.seed)
 
 
 def ensure_connected(

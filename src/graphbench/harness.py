@@ -52,7 +52,7 @@ from .generators import (
     enumerate_connected_nonisomorphic,
     load_initiators,
 )
-from .graphs import format_graph6, parse_graph6
+from .graphs import Graph, parse_graph6  # parse_graph6: perfbench/tracing.py wraps it here
 
 # Row/column orders of the emitted tables.
 CORRELATION_ORDER = (
@@ -244,6 +244,7 @@ def _expand_model_entry(entry: dict, initiators) -> list[tuple[str, int, tuple]]
             raise ConfigError(
                 f"model '{model}' parameter 'n' must be a whole number >= 1, got {n!r}"
             )
+        _whole(named.get("k", 0), f"model '{model}' parameter 'k'")  # sf and sw
         if model == "cs":
             divisor = _whole(named.pop("c_div"), "model 'cs' parameter 'c_div'")
             if divisor < 1 or n // divisor < 1:
@@ -334,15 +335,13 @@ def plan_experiments(config) -> ExperimentPlan:
 
 
 def _run_sample(
-    result: RunResult, graph6: str | None, *, metrics, max_retries: int,
+    result: RunResult, g: Graph | None, *, metrics, max_retries: int,
     keep_vectors: bool,
 ) -> RunResult:
-    """Worker body: generate (or decode) one network, measure it, and fill
-    in ``result``."""
+    """Worker body: measure the census graph ``g``, or draw a connected
+    network when ``g`` is None, and fill in ``result``."""
     try:
-        if graph6 is not None:
-            g = parse_graph6(graph6)
-        else:
+        if g is None:
             cfg = ModelConfig(
                 model=result.model, n=result.n, params=result.params, seed=result.seed,
             )
@@ -368,15 +367,16 @@ def _run_sample(
     return result
 
 
-def _build_tasks(plan: ExperimentPlan) -> tuple[list[RunResult], list[str | None]]:
-    """One identity-only record per planned sample, in canonical order,
-    and beside each its census graph6 string (None for generated ones)."""
+def _build_tasks(plan: ExperimentPlan) -> tuple[list[RunResult], list[Graph | None]]:
+    """One identity-only record per planned sample, in canonical order, and
+    beside each its census graph (None for a sample drawn from its model)."""
     records: list[RunResult] = []
-    graph6s: list[str | None] = []
+    graphs: list[Graph | None] = []
     for cell in plan.cells:
-        corpus = None
         if cell.model == "nonisomorphic":
-            corpus = [format_graph6(g) for g in enumerate_connected_nonisomorphic(cell.n)]
+            graphs.extend(enumerate_connected_nonisomorphic(cell.n))
+        else:
+            graphs.extend([None] * cell.samples)
         for sample in range(cell.samples):
             records.append(RunResult(
                 cell_index=cell.index,
@@ -386,8 +386,7 @@ def _build_tasks(plan: ExperimentPlan) -> tuple[list[RunResult], list[str | None
                 params=cell.params_dict(),
                 seed=plan.sample_seed(cell, sample),
             ))
-            graph6s.append(corpus[sample] if corpus is not None else None)
-    return records, graph6s
+    return records, graphs
 
 
 def _manifest(plan: ExperimentPlan) -> dict:
@@ -437,7 +436,7 @@ def run_experiment(
     out_dir = Path(plan.output_dir)
     samples_dir = out_dir / "samples"
     samples_dir.mkdir(parents=True, exist_ok=True)
-    records, graph6s = _build_tasks(plan)
+    records, graphs = _build_tasks(plan)
     run = partial(
         _run_sample, metrics=plan.metrics, max_retries=plan.max_retries,
         keep_vectors=keep_vectors,
@@ -447,9 +446,9 @@ def run_experiment(
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=get_context("spawn")
         ) as pool:
-            results = list(pool.map(run, records, graph6s, chunksize=4))
+            results = list(pool.map(run, records, graphs, chunksize=4))
     else:
-        results = list(map(run, records, graph6s))
+        results = list(map(run, records, graphs))
 
     tables = [out_dir / name for name in TABLE_FILES.values()]
     for stale in [*samples_dir.glob("cell*_s*.json"), *tables, out_dir / HEATMAP_FILE]:

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -376,6 +377,22 @@ class TestModelConfig:
             generate(ModelConfig(model="cs", n=10, params={"p": 0.5, "c": 2}))
         with pytest.raises(ValueError, match="missing parameter k$"):
             generate(ModelConfig(model="kg", n=8, params={"initiator": (1, 1, 1, 1)}))
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", True])
+    @pytest.mark.parametrize("model, n, params, name", [
+        ("sf", 30, {}, "k"),
+        ("sw", 30, {"p": 0.1}, "k"),
+        ("kg", None, {"initiator": (0.9, 0.5, 0.5, 0.1)}, "k"),  # n = 2**int(k)
+        ("cs", 30, {"p_c": 0.5, "p": 0.5}, "c"),
+    ])
+    def test_whole_number_parameters_never_truncated(self, model, n, params, name, value):
+        n = n or 1 << int(value)
+        cfg = ModelConfig(model=model, n=n, params={**params, name: value}, seed=1)
+        match = f"parameter '{name}' must be a whole number, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(match)):
+            generate(cfg)
+        with pytest.raises(ValueError, match=re.escape(match)):
+            ensure_connected(cfg, max_retries=3)
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):

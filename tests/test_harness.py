@@ -19,6 +19,7 @@ from graphbench import (
 )
 from graphbench import cli, harness
 from graphbench.cli import main as cli_main
+from graphbench.graphs import Graph
 from graphbench.harness import TABLE_FILES, RunResult, _ramp
 
 
@@ -144,6 +145,13 @@ class TestPlanning:
             plan_experiments({"models": [{"model": "kg", "k": [k]}],
                               "kronecker_initiators_path": str(path)})
 
+    @pytest.mark.parametrize("k", [2.5, 4.0, "3", True])
+    @pytest.mark.parametrize("model", ["sf", "sw"])
+    def test_sf_sw_k_must_be_a_whole_number(self, model, k):
+        entry = {"model": model, "n": [30], "k": [k], **({"p": [0.1]} if model == "sw" else {})}
+        with pytest.raises(ConfigError, match=f"model '{model}' parameter 'k' must be a whole number"):
+            plan_experiments({"models": [entry]})
+
     def test_base_seed_bounds_accepted(self):
         for seed in (0, 2**64 - 1):
             assert plan_experiments({"models": [{"model": "er", "n": [5], "p": [0.5]}],
@@ -188,9 +196,16 @@ class TestRun:
 
     def test_worker_counts_agree_byte_for_byte(self, tmp_path):
         config = _tiny_config(tmp_path / "a", samples_per_cell=3)
+        config["models"].append({"model": "nonisomorphic", "n": [5]})  # pickled Graphs
         run_experiment(plan_experiments(config), workers=1)
         config["output_dir"] = str(tmp_path / "b")
         run_experiment(plan_experiments(config), workers=2)
+        untimed = [
+            [{**r.to_dict(), "timings": None} for r in load_results(tmp_path / side)]
+            for side in ("a", "b")
+        ]
+        assert len(untimed[0]) == 3 + 21
+        assert untimed[0] == untimed[1]
         for name in ("correlation.csv", "granularity.csv", "best.csv",
                      "correlation_by_model.csv", "granularity_by_size.csv",
                      "manifest.json"):
@@ -223,6 +238,21 @@ class TestRun:
         assert len(results) == 6
         assert all(r.error is None for r in results)
         assert {r.n for r in results} == {4}
+
+    def test_one_graph_per_census_sample(self, tmp_path, monkeypatch):
+        built = []
+        init = Graph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[0] if args else kwargs["n"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        config = {"models": [{"model": "nonisomorphic", "n": [5]}],
+                  "output_dir": str(tmp_path / "out")}
+        results = run_experiment(plan_experiments(config), workers=1)
+        assert [r.error for r in results] == [None] * 21
+        assert built == [5] * 21
 
     def test_malformed_record_named(self, tmp_path):
         plan = plan_experiments(_tiny_config(tmp_path / "out", samples_per_cell=1,
@@ -737,6 +767,18 @@ class TestCli:
         assert "error: model 'cs' is missing parameter p_c, p, c" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("model, params", [
+        ("sf", ["k=2.5"]), ("sw", ["k=4.0", "p=0.1"]), ("cs", ["p_c=0.5", "p=0.5", "c=2.5"]),
+    ])
+    def test_generate_fractional_whole_parameter_exit_code(self, tmp_path, capsys, model,
+                                                           params):
+        out = tmp_path / "x.edges"
+        rc = cli_main(["generate", "--model", model, "--n", "30", "--seed", "1",
+                       *[arg for p in params for arg in ("--param", p)], "--out", str(out)])
+        assert rc == 2
+        assert "must be a whole number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_generate_kronecker(self, tmp_path, capsys):
         rc = cli_main([
