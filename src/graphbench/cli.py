@@ -33,7 +33,6 @@ from .generators import (
     ensure_connected,
     enumerate_connected_nonisomorphic,
     generate,
-    load_initiators,
 )
 from .graphs import FormatError, GraphError, format_edge_list, format_graph6, parse_edge_list
 from .harness import (
@@ -79,14 +78,12 @@ def _cmd_generate(args) -> int:
     if args.model == "kg":
         if not args.initiators or not args.initiator:
             raise ConfigError("model 'kg' needs --initiators FILE and --initiator NAME")
-        table = load_initiators(args.initiators)
-        if args.initiator not in table:
-            raise ConfigError(f"unknown Kronecker initiator '{args.initiator}'")
-        params["initiator"] = table[args.initiator].p
-        params["initiator_name"] = args.initiator
-        if "k" not in params:
-            raise ConfigError("model 'kg' needs --param k=<power>")
-        n = 1 << int(params["k"])
+        entry = {name: [value] for name, value in params.items()}
+        entry.update(model="kg", initiators=[args.initiator])
+        (cell,) = plan_experiments(
+            {"models": [entry], "kronecker_initiators_path": args.initiators}
+        ).cells
+        n, params = cell.n, cell.params_dict()
     else:
         if args.n is None:
             raise ConfigError(f"model '{args.model}' needs --n")

@@ -89,13 +89,21 @@ def _check_edge_probability(p: float) -> None:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
 
 
+def _pair_trials(n: int, probs, rng: np.random.Generator) -> Graph:
+    """One independent trial per vertex pair: pair i < j, taken in
+    ``np.triu_indices`` order, is kept when its draw from ``rng`` falls
+    below its probability. ``probs`` is one probability for every pair or
+    an n x n matrix of them; draws lie in [0, 1), so a probability of 0
+    never keeps a pair."""
+    iu, ju = np.triu_indices(n, 1)
+    mask = rng.random(iu.size) < np.broadcast_to(probs, (n, n))[iu, ju]
+    return Graph(n, np.column_stack((iu[mask], ju[mask])))
+
+
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Uniform random graph: each of the C(n,2) pairs kept with probability p."""
     _check_edge_probability(p)
-    rng = _rng(seed)
-    iu, ju = np.triu_indices(n, 1)
-    mask = rng.random(iu.size) < p
-    return Graph(n, np.column_stack((iu[mask], ju[mask])))
+    return _pair_trials(n, p, _rng(seed))
 
 
 def scale_free(n: int, k: int, seed: int) -> Graph:
@@ -192,11 +200,7 @@ def grid_pair_probabilities(n: int, kappa: float) -> np.ndarray:
 
 def geographical(n: int, kappa: float, seed: int) -> Graph:
     """Grid-embedded random graph with distance-decaying edge probability."""
-    probs = grid_pair_probabilities(n, kappa)
-    rng = _rng(seed)
-    iu, ju = np.triu_indices(n, 1)
-    mask = rng.random(iu.size) < probs[iu, ju]
-    return Graph(n, np.column_stack((iu[mask], ju[mask])))
+    return _pair_trials(n, grid_pair_probabilities(n, kappa), _rng(seed))
 
 
 def _draw_memberships(n: int, p_c: float, c: int, rng: np.random.Generator) -> np.ndarray:
@@ -225,9 +229,7 @@ def community_structure(n: int, p_c: float, p: float, c: int, seed: int) -> Grap
     rng = _rng(seed)
     member = _draw_memberships(n, p_c, c, rng)
     shared = (member.astype(np.int64) @ member.T.astype(np.int64)) > 0
-    iu, ju = np.triu_indices(n, 1)
-    mask = shared[iu, ju] & (rng.random(iu.size) < p)
-    return Graph(n, np.column_stack((iu[mask], ju[mask])))
+    return _pair_trials(n, p * shared, rng)
 
 
 @dataclass(frozen=True)
@@ -281,11 +283,7 @@ def kronecker(initiator: KroneckerInitiator, k: int, seed: int) -> Graph:
     pair's product probability; self-loops are never drawn.
     """
     probs = kronecker_pair_probabilities(initiator, k)
-    n = probs.shape[0]
-    rng = _rng(seed)
-    iu, ju = np.triu_indices(n, 1)
-    mask = rng.random(iu.size) < probs[iu, ju]
-    return Graph(n, np.column_stack((iu[mask], ju[mask])))
+    return _pair_trials(probs.shape[0], probs, _rng(seed))
 
 
 @dataclass(frozen=True)

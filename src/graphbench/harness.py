@@ -82,7 +82,7 @@ _GRID_PARAMS = {
     "sw": ("n", "k", "p"),
     "gr": ("n", "kappa"),
     "cs": ("n", "p_c", "p", "c_div"),
-    "kg": ("initiator", "k"),
+    "kg": ("initiators", "k"),
     "nonisomorphic": ("n",),
 }
 
@@ -192,7 +192,9 @@ def _whole(value, what: str) -> int:
 
 
 def _expand_model_entry(entry: dict, initiators) -> list[tuple[str, int, tuple]]:
-    """Expand one config entry into (model, n, params-items) combinations."""
+    """Expand one config entry into (model, n, params-items) combinations.
+
+    kg's ``initiators`` default to every loaded initiator, sorted; n = 2**k."""
     if not isinstance(entry, dict):
         raise ConfigError(f"model entry must be a JSON object, got {entry!r}")
     if "model" not in entry:
@@ -201,34 +203,15 @@ def _expand_model_entry(entry: dict, initiators) -> list[tuple[str, int, tuple]]
     if model not in MODEL_IDS:
         raise ConfigError(f"unknown model '{model}'")
     grid_keys = _GRID_PARAMS[model]
-    allowed = set(grid_keys) | {"model"}
-    if model == "kg":
-        allowed = {"model", "initiators", "k"}
     for key in entry:
-        if key not in allowed:
+        if key not in grid_keys and key != "model":
             raise ConfigError(f"unknown parameter '{key}' for model '{model}'")
-
-    combos: list[tuple[str, int, tuple]] = []
     if model == "kg":
         if initiators is None:
             raise ConfigError(
                 "model 'kg' requires the 'kronecker_initiators_path' config key"
             )
-        names = _as_list(entry.get("initiators", sorted(initiators)))
-        for name in names:
-            if name not in initiators:
-                raise ConfigError(f"unknown Kronecker initiator '{name}'")
-        ks = [_whole(k, "model 'kg' parameter 'k'") for k in _as_list(entry.get("k", []))]
-        if not ks:
-            raise ConfigError("model 'kg' needs at least one 'k' value")
-        for name, k in itertools.product(names, ks):
-            params = (
-                ("initiator", tuple(initiators[name].p)),
-                ("initiator_name", name),
-                ("k", k),
-            )
-            combos.append((model, 1 << k, params))
-        return combos
+        entry = {"initiators": sorted(initiators), **entry}
 
     values = {}
     for key in grid_keys:
@@ -237,14 +220,22 @@ def _expand_model_entry(entry: dict, initiators) -> list[tuple[str, int, tuple]]
         values[key] = _as_list(entry[key])
         if not values[key]:
             raise ConfigError(f"model '{model}' parameter '{key}' is empty")
+    combos: list[tuple[str, int, tuple]] = []
     for combo in itertools.product(*(values[key] for key in grid_keys)):
         named = dict(zip(grid_keys, combo))
+        k = _whole(named.get("k", 0), f"model '{model}' parameter 'k'")  # sf, sw and kg
+        if model == "kg":
+            if k < 1:
+                raise ConfigError(f"model 'kg' parameter 'k' must be >= 1, got {k}")
+            name = named.pop("initiators")
+            if not isinstance(name, str) or name not in initiators:
+                raise ConfigError(f"unknown Kronecker initiator '{name}'")
+            named.update(initiator=initiators[name].p, initiator_name=name, n=1 << k)
         n = named.pop("n")
         if type(n) is not int or n < 1:
             raise ConfigError(
                 f"model '{model}' parameter 'n' must be a whole number >= 1, got {n!r}"
             )
-        _whole(named.get("k", 0), f"model '{model}' parameter 'k'")  # sf and sw
         if model == "cs":
             divisor = _whole(named.pop("c_div"), "model 'cs' parameter 'c_div'")
             if divisor < 1 or n // divisor < 1:
@@ -284,14 +275,21 @@ def plan_experiments(config) -> ExperimentPlan:
     base_seed = _whole(config.get("base_seed", 0), "config key 'base_seed'")
     if not 0 <= base_seed < 2**64:
         raise ConfigError(f"config key 'base_seed' must be in [0, 2**64), got {base_seed}")
-    metrics = tuple(config.get("metrics", MEASURES))
-    for m in metrics:
+    metrics = config.get("metrics", MEASURES)
+    if not isinstance(metrics, (list, tuple)):
+        raise ConfigError(f"config key 'metrics' must be a list of measures, got {metrics!r}")
+    for i, m in enumerate(metrics):
         if m not in MEASURES:
             raise ConfigError(f"unknown metric '{m}' in config key 'metrics'")
+        if m in metrics[:i]:
+            raise ConfigError(f"config key 'metrics' lists '{m}' twice")
     if not metrics:
         raise ConfigError("config key 'metrics' must name at least one measure")
     output_dir = config.get("output_dir", "results")
-    confidence = float(config.get("confidence", _DEFAULT_CONFIDENCE))
+    confidence = config.get("confidence", _DEFAULT_CONFIDENCE)
+    if type(confidence) not in (int, float):
+        raise ConfigError(f"config key 'confidence' must be a number, got {confidence!r}")
+    confidence = float(confidence)
     if not 0.0 < confidence < 1.0:
         raise ConfigError(f"config key 'confidence' must be in (0, 1), got {confidence}")
     max_retries = _whole(
@@ -326,7 +324,7 @@ def plan_experiments(config) -> ExperimentPlan:
     return ExperimentPlan(
         cells=tuple(cells),
         base_seed=base_seed,
-        metrics=metrics,
+        metrics=tuple(metrics),
         samples_per_cell=samples_per_cell,
         output_dir=str(output_dir),
         confidence=confidence,
@@ -581,11 +579,12 @@ def _correlation_csv(good) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _by_model(good) -> dict[str, list[RunResult]]:
-    by_model: dict[str, list[RunResult]] = {}
-    for r in good:
-        by_model.setdefault(r.model, []).append(r)
-    return by_model
+def _groups(results, key) -> dict:
+    """``results`` grouped by ``key(r)``, each group in the order given."""
+    groups: dict = {}
+    for r in results:
+        groups.setdefault(key(r), []).append(r)
+    return groups
 
 
 def _corpus_group(r: RunResult) -> str:
@@ -602,9 +601,7 @@ def _mean_cells(values, confidence, decimals: int = 2) -> list[str]:
 
 
 def _granularity_csv(good, confidence) -> str:
-    groups: dict[str, list[RunResult]] = {"complex_models": [], "nonisomorphic": []}
-    for r in good:
-        groups[_corpus_group(r)].append(r)
+    groups = _groups(good, _corpus_group)
     header = (
         "metric,complex_models_mean,complex_models_ci,"
         "nonisomorphic_mean,nonisomorphic_ci"
@@ -613,7 +610,8 @@ def _granularity_csv(good, confidence) -> str:
     for metric in GRANULARITY_ORDER:
         cells = []
         for name in ("complex_models", "nonisomorphic"):
-            values = [r.granularity[metric] for r in groups[name] if metric in r.granularity]
+            values = [r.granularity[metric] for r in groups.get(name, ())
+                      if metric in r.granularity]
             cells.extend(_mean_cells(values, confidence) if values else ["", ""])
         lines.append(SHORT_LABELS[metric] + "," + ",".join(cells))
     return "\n".join(lines) + "\n"
@@ -622,9 +620,7 @@ def _granularity_csv(good, confidence) -> str:
 def _granularity_by_size_csv(good, confidence) -> str:
     """Granularity broken down by corpus group and vertex count, so pooled
     means (one weight per network) can be compared with per-size means."""
-    groups: dict[tuple[str, int], list[RunResult]] = {}
-    for r in good:
-        groups.setdefault((_corpus_group(r), r.n), []).append(r)
+    groups = _groups(good, lambda r: (_corpus_group(r), r.n))
     lines = ["metric,group,n,mean,ci"]
     for metric in GRANULARITY_ORDER:
         for (name, n) in sorted(groups):
@@ -640,7 +636,7 @@ def _granularity_by_size_csv(good, confidence) -> str:
 
 
 def _best_csv(good) -> str:
-    by_family = _by_model(good)
+    by_family = _groups(good, lambda r: r.model)
     header = "metric," + ",".join(FAMILY_LABELS[f] for f in FAMILY_ORDER)
     percents: dict[str, dict[str, float]] = {}
     for family, members in by_family.items():
@@ -660,7 +656,7 @@ def _best_csv(good) -> str:
 
 
 def _correlation_by_model_csv(good, confidence) -> str:
-    by_family = _by_model(good)
+    by_family = _groups(good, lambda r: r.model)
     lines = ["model,pair,mean_tau,count,ci_half_width"]
     for family in FAMILY_ORDER:
         if family not in by_family:

@@ -214,6 +214,49 @@ class TestKronecker:
             KroneckerInitiator("bad", (0.5, 0.5, 1.5, 0.5))
 
 
+def _reference_pairs(n, rng, keep):
+    """The independent-pair draw written out: one uniform per pair i < j,
+    in ``np.triu_indices`` order; ``keep(i, j, draws)`` decides each pair."""
+    iu, ju = np.triu_indices(n, 1)
+    mask = keep(iu, ju, rng.random(iu.size))
+    return np.column_stack((iu[mask], ju[mask]))
+
+
+def _pcg(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+class TestPairDraw:
+    """er, gr, kg and cs all draw their edges through one pair trial."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_erdos_renyi(self, p):
+        expected = _reference_pairs(20, _pcg(11), lambda i, j, r: r < p)
+        assert np.array_equal(erdos_renyi(20, p, 11).edges, expected)
+
+    def test_geographical(self):
+        probs = grid_pair_probabilities(16, 1.5)
+        expected = _reference_pairs(16, _pcg(4), lambda i, j, r: r < probs[i, j])
+        assert np.array_equal(geographical(16, 1.5, 4).edges, expected)
+
+    @pytest.mark.parametrize("p", [(0.9, 0.5, 0.5, 0.1), (1.0, 0.0, 0.0, 1.0)])
+    def test_kronecker(self, p):
+        initiator = KroneckerInitiator("x", p)
+        probs = kronecker_pair_probabilities(initiator, 4)
+        expected = _reference_pairs(16, _pcg(9), lambda i, j, r: r < probs[i, j])
+        assert np.array_equal(kronecker(initiator, 4, 9).edges, expected)
+
+    @pytest.mark.parametrize("p_c", [1.0, 0.2], ids=["covered", "uncovered"])
+    @pytest.mark.parametrize("p", [0.0, 0.6, 1.0])
+    def test_community_structure(self, p_c, p):
+        rng = _pcg(5)
+        member = rng.random((24, 3)) < p_c
+        assert member.any(axis=1).all() == (p_c == 1.0)
+        shared = (member.astype(int) @ member.T.astype(int)) > 0
+        expected = _reference_pairs(24, rng, lambda i, j, r: shared[i, j] & (r < p))
+        assert np.array_equal(community_structure(24, p_c, p, 3, 5).edges, expected)
+
+
 def _reference_ensure_connected(cfg, max_retries):
     """The retry loop with no early rejection: generate, then test connectivity."""
     for retry in range(max_retries):

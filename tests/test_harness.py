@@ -19,7 +19,8 @@ from graphbench import (
 )
 from graphbench import cli, harness
 from graphbench.cli import main as cli_main
-from graphbench.graphs import Graph
+from graphbench.generators import KroneckerInitiator, kronecker
+from graphbench.graphs import Graph, format_edge_list
 from graphbench.harness import TABLE_FILES, RunResult, _ramp
 
 
@@ -92,8 +93,14 @@ class TestPlanning:
         ("confidence", 1.5, r"'confidence' must be in \(0, 1\), got 1.5"),
         ("confidence", 0.0, r"'confidence' must be in \(0, 1\), got 0.0"),
         ("confidence", 1, r"'confidence' must be in \(0, 1\), got 1.0"),
+        ("confidence", "0.5", "'confidence' must be a number, got '0.5'"),
+        ("confidence", "abc", "'confidence' must be a number, got 'abc'"),
+        ("confidence", True, "'confidence' must be a number, got True"),
+        ("metrics", ["degree", "degree", "closeness"], "'metrics' lists 'degree' twice"),
+        ("metrics", "degree", "'metrics' must be a list of measures, got 'degree'"),
     ], ids=["retries_0", "retries_negative", "confidence_1.5", "confidence_0",
-            "confidence_1"])
+            "confidence_1", "confidence_string", "confidence_text", "confidence_bool",
+            "metrics_repeated", "metrics_string"])
     def test_invalid_run_settings_rejected(self, key, value, match):
         with pytest.raises(ConfigError, match=match):
             plan_experiments({"models": [{"model": "er", "n": [5], "p": [0.5]}],
@@ -160,6 +167,37 @@ class TestPlanning:
     def test_kg_needs_initiators(self):
         with pytest.raises(ConfigError, match="kronecker_initiators_path"):
             plan_experiments({"models": [{"model": "kg", "k": [3]}]})
+
+    @staticmethod
+    def _kg_plan(tmp_path, **entry):
+        path = tmp_path / "initiators.json"
+        path.write_text('{"b": [0.9, 0.6, 0.6, 0.2], "a": [0.99, 0.7, 0.7, 0.3]}')
+        return plan_experiments({"models": [{"model": "kg", **entry}],
+                                 "kronecker_initiators_path": str(path)})
+
+    @pytest.mark.parametrize("names", [{}, {"initiators": ["a", "b"]}],
+                             ids=["default", "listed"])
+    def test_kg_grid_over_initiators_and_powers(self, tmp_path, names):
+        plan = self._kg_plan(tmp_path, k=[3, 4], **names)
+        a = ("initiator", (0.99, 0.7, 0.7, 0.3)), ("initiator_name", "a")
+        b = ("initiator", (0.9, 0.6, 0.6, 0.2)), ("initiator_name", "b")
+        assert [(c.model, c.n, c.params) for c in plan.cells] == [
+            ("kg", 8, (*a, ("k", 3))), ("kg", 16, (*a, ("k", 4))),
+            ("kg", 8, (*b, ("k", 3))), ("kg", 16, (*b, ("k", 4))),
+        ]
+
+    @pytest.mark.parametrize("entry, match", [
+        ({"k": [0]}, "model 'kg' parameter 'k' must be >= 1, got 0"),
+        ({"k": [-1]}, "model 'kg' parameter 'k' must be >= 1, got -1"),
+        ({"k": [3], "initiators": []}, "model 'kg' parameter 'initiators' is empty"),
+        ({"k": [3], "initiators": ["c"]}, "unknown Kronecker initiator 'c'"),
+        ({"k": [3], "initiator": ["a"]}, "unknown parameter 'initiator' for model 'kg'"),
+        ({"initiators": ["a"]}, "model 'kg' is missing parameter 'k'"),
+    ], ids=["k_0", "k_negative", "no_initiators", "unknown_initiator",
+            "initiator_key", "no_k"])
+    def test_invalid_kg_entry_rejected(self, tmp_path, entry, match):
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            self._kg_plan(tmp_path, **entry)
 
     def test_replanning_is_identical(self):
         config = _tiny_config("x")
@@ -780,6 +818,24 @@ class TestCli:
         assert "must be a whole number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("initiator, params, message", [
+        ("as-routeviews", [], "model 'kg' is missing parameter 'k'"),
+        ("as-routeviews", ["k=0"], "model 'kg' parameter 'k' must be >= 1, got 0"),
+        ("as-routeviews", ["k=-1"], "model 'kg' parameter 'k' must be >= 1, got -1"),
+        ("as-routeviews", ["k=2.5"], "model 'kg' parameter 'k' must be a whole number, got 2.5"),
+        ("nope", ["k=3"], "unknown Kronecker initiator 'nope'"),
+    ], ids=["no_k", "k_0", "k_negative", "k_fractional", "unknown_initiator"])
+    def test_generate_kronecker_plan_error_exit_code(self, tmp_path, capsys, initiator,
+                                                     params, message):
+        out = tmp_path / "kg.edges"
+        rc = cli_main(["generate", "--model", "kg",
+                       "--initiators", "configs/kronecker_initiators.json",
+                       "--initiator", initiator,
+                       *[arg for p in params for arg in ("--param", p)], "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_generate_kronecker(self, tmp_path, capsys):
         rc = cli_main([
             "generate", "--model", "kg",
@@ -790,3 +846,5 @@ class TestCli:
         assert rc == 0
         text = (tmp_path / "kg.edges").read_text()
         assert text.startswith("# n=32")
+        initiator = KroneckerInitiator("as-routeviews", (0.987, 0.571, 0.571, 0.049))
+        assert text == format_edge_list(kronecker(initiator, 5, 0))
