@@ -13,7 +13,7 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
 )
-from .linalg import SingularMatrixError, invert, solve_linear, sym_eigen
+from .linalg import SingularMatrixError, invert, sym_eigen
 from .centrality import (
     DisconnectedGraphError,
     all_measures,
@@ -24,8 +24,6 @@ from .centrality import (
     eccentricity,
     eigenvector,
     information,
-    information_intermediate,
-    power_iteration,
     subgraph,
     walk_betweenness,
 )
@@ -33,7 +31,6 @@ from .generators import (
     GenerationError,
     KroneckerInitiator,
     ModelConfig,
-    community_memberships,
     community_structure,
     derive_seed,
     ensure_connected,
@@ -41,9 +38,7 @@ from .generators import (
     erdos_renyi,
     generate,
     geographical,
-    grid_pair_probabilities,
     kronecker,
-    kronecker_pair_probabilities,
     mix64,
     scale_free,
     small_world,
@@ -55,7 +50,6 @@ from .stats import (
     granularity,
     kendall_tau_b,
     mean_ci,
-    round6,
 )
 from .harness import (
     ConfigError,

@@ -74,7 +74,7 @@ def _parse_params(pairs: list[str]) -> dict:
 
 
 def _cmd_generate(args) -> int:
-    params = _parse_params(args.param)
+    n, params = args.n, _parse_params(args.param)
     if args.model == "kg":
         if not args.initiators or not args.initiator:
             raise ConfigError("model 'kg' needs --initiators FILE and --initiator NAME")
@@ -84,10 +84,6 @@ def _cmd_generate(args) -> int:
             {"models": [entry], "kronecker_initiators_path": args.initiators}
         ).cells
         n, params = cell.n, cell.params_dict()
-    else:
-        if args.n is None:
-            raise ConfigError(f"model '{args.model}' needs --n")
-        n = args.n
     cfg = ModelConfig(model=args.model, n=n, params=params, seed=args.seed)
     if args.connected:
         g, retries = ensure_connected(cfg, args.max_retries)

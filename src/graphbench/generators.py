@@ -40,9 +40,11 @@ from .graphs import Graph, _graph6_pairs, is_connected
 
 MODELS = ("cs", "er", "gr", "sf", "sw", "kg")
 
-# The parameters each model's generator reads from ModelConfig.params.
+# The parameters each model's generator reads from ModelConfig.params, in
+# its argument order, and the names the plan records that no generator reads.
 _MODEL_PARAMS = {"er": ("p",), "sf": ("k",), "sw": ("k", "p"), "gr": ("kappa",),
                  "cs": ("p_c", "p", "c"), "kg": ("initiator", "k")}
+_RECORDED_PARAMS = {"cs": ("c_div",), "kg": ("initiator_name",)}
 
 # Stable identifiers folded into derived seeds; order is frozen.
 MODEL_IDS = {"er": 1, "sf": 2, "sw": 3, "gr": 4, "cs": 5, "kg": 6, "nonisomorphic": 7}
@@ -84,9 +86,62 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed & _MASK64))
 
 
-def _check_edge_probability(p: float) -> None:
+def _number(model: str, name: str, value, whole: bool = False):
+    """``value`` if an int, or a float unless ``whole``: never coerced or truncated."""
+    if type(value) is not int and (whole or not isinstance(value, float)):
+        kind = "a whole number" if whole else "a number"
+        raise ValueError(f"model '{model}' parameter '{name}' must be {kind}, got {value!r}")
+    return value
+
+
+def _probability(what: str, p: float) -> None:
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
+        raise ValueError(f"{what} probability must be in [0, 1], got {p}")
+
+
+def check_size(model: str, n) -> int:
+    """``n`` when it is a whole number >= 1, the census included."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"model '{model}' parameter 'n' must be a whole number >= 1, got {n!r}")
+    return n
+
+
+def kronecker_size(k) -> int:
+    """2**k, the vertex count of the k-th Kronecker power; k is an int >= 1."""
+    if _number("kg", "k", k, whole=True) < 1:
+        raise ValueError(f"model 'kg' parameter 'k' must be >= 1, got {k}")
+    return 1 << k
+
+
+def check_params(model: str, n: int, params: Mapping[str, object]) -> None:
+    """Raise ``ValueError`` unless ``params`` are valid arguments of ``model``'s
+    generator on n vertices: the one copy of each parameter rule, run by every
+    ModelConfig and generator (kg's through :func:`kronecker_size`). No draw."""
+    for name in _MODEL_PARAMS[model]:
+        if name != "initiator":  # KroneckerInitiator checks its own entries
+            _number(model, name, params[name], whole=name in ("k", "c"))
+    p, k = params.get("p"), params.get("k")
+    if model in ("er", "cs"):
+        _probability("edge", p)
+    if model == "sf" and not 2 <= k < n:
+        raise ValueError(f"need 2 <= k < n, got k={k}, n={n}")
+    if model == "sw":
+        if k % 2:
+            raise ValueError(f"neighbor count k must be even, got {k}")
+        if not 0 <= k < n:
+            raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
+        _probability("rewiring", p)
+    if model == "gr":
+        if not params["kappa"] > 1.0:
+            raise ValueError(f"kappa must exceed 1, got {params['kappa']}")
+        if isqrt(n) ** 2 != n:
+            raise ValueError(f"geographical model needs a square vertex count, got {n}")
+    if model == "cs":
+        _probability("membership", params["p_c"])
+        if params["c"] < 1:
+            raise ValueError(f"community count must be >= 1, got {params['c']}")
+    if model == "kg" and n != kronecker_size(k):
+        raise ValueError(f"Kronecker graph needs n = 2**k, got n={n}, k={k}")
 
 
 def _pair_trials(n: int, probs, rng: np.random.Generator) -> Graph:
@@ -102,7 +157,7 @@ def _pair_trials(n: int, probs, rng: np.random.Generator) -> Graph:
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Uniform random graph: each of the C(n,2) pairs kept with probability p."""
-    _check_edge_probability(p)
+    check_params("er", n, {"p": p})
     return _pair_trials(n, p, _rng(seed))
 
 
@@ -113,8 +168,7 @@ def scale_free(n: int, k: int, seed: int) -> Graph:
     with probability proportional to current degree, so the final edge
     count is exactly C(k,2) + (n-k)*k.
     """
-    if not 2 <= k < n:
-        raise ValueError(f"need 2 <= k < n, got k={k}, n={n}")
+    check_params("sf", n, {"k": k})
     rng = _rng(seed)
     edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
     deg = np.zeros(n)
@@ -142,12 +196,7 @@ def small_world(n: int, k: int, p: float, seed: int) -> Graph:
     then by neighbor offset); a rewired endpoint is resampled until it
     creates neither a self-loop nor a duplicate, so m = n*k/2 always.
     """
-    if k % 2:
-        raise ValueError(f"neighbor count k must be even, got {k}")
-    if not 0 <= k < n:
-        raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"rewiring probability must be in [0, 1], got {p}")
+    check_params("sw", n, {"k": k, "p": p})
     rng = _rng(seed)
     half = k // 2
     edge_set = set()
@@ -185,11 +234,8 @@ def grid_pair_probabilities(n: int, kappa: float) -> np.ndarray:
     ``s`` is the Manhattan distance between grid positions
     ``(i // side, i % side)``; the diagonal is zeroed.
     """
-    if kappa <= 1.0:
-        raise ValueError(f"kappa must exceed 1, got {kappa}")
+    check_params("gr", n, {"kappa": kappa})
     side = isqrt(n)
-    if side * side != n:
-        raise ValueError(f"geographical model needs a square vertex count, got {n}")
     idx = np.arange(n)
     rows, cols = idx // side, idx % side
     s = np.abs(rows[:, None] - rows[None, :]) + np.abs(cols[:, None] - cols[None, :])
@@ -203,20 +249,6 @@ def geographical(n: int, kappa: float, seed: int) -> Graph:
     return _pair_trials(n, grid_pair_probabilities(n, kappa), _rng(seed))
 
 
-def _draw_memberships(n: int, p_c: float, c: int, rng: np.random.Generator) -> np.ndarray:
-    if not 0.0 <= p_c <= 1.0:
-        raise ValueError(f"membership probability must be in [0, 1], got {p_c}")
-    if c < 1:
-        raise ValueError(f"community count must be >= 1, got {c}")
-    return rng.random((n, c)) < p_c
-
-
-def community_memberships(n: int, p_c: float, c: int, seed: int) -> np.ndarray:
-    """Boolean (n, c) membership matrix; the first sampling stage of
-    :func:`community_structure` under the same seed."""
-    return _draw_memberships(n, p_c, c, _rng(seed))
-
-
 def community_structure(n: int, p_c: float, p: float, c: int, seed: int) -> Graph:
     """Overlapping-community graph.
 
@@ -225,9 +257,9 @@ def community_structure(n: int, p_c: float, p: float, c: int, seed: int) -> Grap
     single edge trial with probability p. Pairs sharing none stay
     unconnected.
     """
-    _check_edge_probability(p)
+    check_params("cs", n, {"p_c": p_c, "p": p, "c": c})
     rng = _rng(seed)
-    member = _draw_memberships(n, p_c, c, rng)
+    member = rng.random((n, c)) < p_c
     shared = (member.astype(np.int64) @ member.T.astype(np.int64)) > 0
     return _pair_trials(n, p * shared, rng)
 
@@ -264,10 +296,8 @@ def kronecker_pair_probabilities(initiator: KroneckerInitiator, k: int) -> np.nd
 
     Entry (i, j) is the product over bit levels l of P[bit_l(i)][bit_l(j)].
     """
-    if k < 1:
-        raise ValueError(f"Kronecker power must be >= 1, got {k}")
     p = initiator.matrix
-    n = 1 << k
+    n = kronecker_size(k)
     idx = np.arange(n)
     probs = np.ones((n, n))
     for level in range(k):
@@ -288,7 +318,9 @@ def kronecker(initiator: KroneckerInitiator, k: int, seed: int) -> Graph:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """One fully-resolved generator invocation: model, size, params, seed."""
+    """One validated generator invocation: a known model, :func:`check_size`,
+    a 64-bit seed, exactly the parameters the generator reads (and any the
+    plan records), then :func:`check_params`."""
 
     model: str
     n: int
@@ -298,55 +330,33 @@ class ModelConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
-        if self.n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {self.n}")
+        check_size(self.model, self.n)
         if not 0 <= self.seed <= _MASK64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         object.__setattr__(self, "params", dict(self.params))
-        if self.model == "kg" and "k" in self.params:
-            k = int(self.params["k"])
-            if self.n != (1 << k):
-                raise ValueError(f"Kronecker graph needs n = 2**k, got n={self.n}, k={k}")
+        names = _MODEL_PARAMS[self.model]
+        missing = [name for name in names if name not in self.params]
+        if missing:
+            raise ValueError(f"model {self.model!r} is missing parameter {', '.join(missing)}")
+        for name in self.params:
+            if name not in names + _RECORDED_PARAMS.get(self.model, ()):
+                raise ValueError(f"unknown parameter '{name}' for model '{self.model}'")
+        check_params(self.model, self.n, self.params)
 
     def describe(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.model}(n={self.n}, {inner}, seed={self.seed})"
 
 
-def _model_params(cfg: ModelConfig) -> Mapping[str, object]:
-    """``cfg.params``, once all its model reads are present and k, c are ints."""
-    missing = [name for name in _MODEL_PARAMS[cfg.model] if name not in cfg.params]
-    if missing:
-        raise ValueError(f"model {cfg.model!r} is missing parameter {', '.join(missing)}")
-    for name in {"k", "c"}.intersection(_MODEL_PARAMS[cfg.model]):
-        if type(value := cfg.params[name]) is not int:  # 2.5, "3" or True: never truncated
-            raise ValueError(f"parameter '{name}' must be a whole number, got {value!r}")
-    return cfg.params
-
-
-def _cs_args(p: Mapping[str, object]) -> tuple[float, float, int]:
-    """``(p_c, p, c)`` in the order :func:`community_structure` takes them."""
-    return float(p["p_c"]), float(p["p"]), p["c"]
-
-
 def generate(cfg: ModelConfig) -> Graph:
     """Draw one raw sample for the configuration (no connectivity retry)."""
-    p = _model_params(cfg)
-    if cfg.model == "er":
-        return erdos_renyi(cfg.n, float(p["p"]), cfg.seed)
-    if cfg.model == "sf":
-        return scale_free(cfg.n, p["k"], cfg.seed)
-    if cfg.model == "sw":
-        return small_world(cfg.n, p["k"], float(p["p"]), cfg.seed)
-    if cfg.model == "gr":
-        return geographical(cfg.n, float(p["kappa"]), cfg.seed)
-    if cfg.model == "cs":
-        return community_structure(cfg.n, *_cs_args(p), cfg.seed)
-    initiator = KroneckerInitiator(  # kg: ModelConfig admits no other model
-        name=str(p.get("initiator_name", "inline")),
-        p=tuple(float(x) for x in p["initiator"]),
-    )
-    return kronecker(initiator, p["k"], cfg.seed)
+    p = cfg.params
+    if cfg.model == "kg":
+        initiator = KroneckerInitiator("inline", tuple(p["initiator"]))
+        return kronecker(initiator, p["k"], cfg.seed)
+    draw = {"er": erdos_renyi, "sf": scale_free, "sw": small_world,
+            "gr": geographical, "cs": community_structure}[cfg.model]
+    return draw(cfg.n, *(p[name] for name in _MODEL_PARAMS[cfg.model]), cfg.seed)
 
 
 def ensure_connected(
@@ -362,21 +372,16 @@ def ensure_connected(
     first stage of :func:`community_structure` under the attempt's seed; a
     vertex in no community would be isolated, so the attempt is rejected
     before the edges are drawn. Each attempt has its own seed, so skipping
-    a doomed one changes no accepted sample, retry count or error. The
-    parameters are checked first, in the order :func:`generate` checks
-    them, so invalid ones raise the same error as without the skip.
+    a doomed one changes no accepted sample, retry count or error.
     """
     if max_retries < 1:
         raise ValueError(f"max_retries must be >= 1, got {max_retries}")
     precheck = cfg.model == "cs" and cfg.n >= 2
-    if precheck:
-        p_c, p, c = _cs_args(_model_params(cfg))
-        _check_edge_probability(p)  # p_c and c are checked by _draw_memberships
     for retry in range(max_retries):
         seed = mix64(cfg.seed, retry)
         if precheck:
-            covered = _draw_memberships(cfg.n, p_c, c, _rng(seed)).any(axis=1)
-            if not covered.all():
+            member = _rng(seed).random((cfg.n, cfg.params["c"])) < cfg.params["p_c"]
+            if not member.any(axis=1).all():
                 continue
         g = generate(ModelConfig(model=cfg.model, n=cfg.n, params=cfg.params, seed=seed))
         if is_connected(g):

@@ -47,9 +47,11 @@ from .generators import (
     DEFAULT_MAX_RETRIES,
     MODEL_IDS,
     ModelConfig,
+    check_size,
     derive_seed,
     ensure_connected,
     enumerate_connected_nonisomorphic,
+    kronecker_size,
     load_initiators,
 )
 from .graphs import Graph, parse_graph6  # parse_graph6: perfbench/tracing.py wraps it here
@@ -191,6 +193,14 @@ def _whole(value, what: str) -> int:
     return value
 
 
+def _generator_rule(check, *args):
+    """``check(*args)``, a generator rule: its ValueError is a ConfigError."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _expand_model_entry(entry: dict, initiators) -> list[tuple[str, int, tuple]]:
     """Expand one config entry into (model, n, params-items) combinations.
 
@@ -223,27 +233,21 @@ def _expand_model_entry(entry: dict, initiators) -> list[tuple[str, int, tuple]]
     combos: list[tuple[str, int, tuple]] = []
     for combo in itertools.product(*(values[key] for key in grid_keys)):
         named = dict(zip(grid_keys, combo))
-        k = _whole(named.get("k", 0), f"model '{model}' parameter 'k'")  # sf, sw and kg
         if model == "kg":
-            if k < 1:
-                raise ConfigError(f"model 'kg' parameter 'k' must be >= 1, got {k}")
             name = named.pop("initiators")
             if not isinstance(name, str) or name not in initiators:
                 raise ConfigError(f"unknown Kronecker initiator '{name}'")
-            named.update(initiator=initiators[name].p, initiator_name=name, n=1 << k)
-        n = named.pop("n")
-        if type(n) is not int or n < 1:
-            raise ConfigError(
-                f"model '{model}' parameter 'n' must be a whole number >= 1, got {n!r}"
-            )
+            named.update(initiator=initiators[name].p, initiator_name=name,
+                         n=_generator_rule(kronecker_size, named["k"]))
+        n = _generator_rule(check_size, model, named.pop("n"))
         if model == "cs":
             divisor = _whole(named.pop("c_div"), "model 'cs' parameter 'c_div'")
-            if divisor < 1 or n // divisor < 1:
-                raise ConfigError(
-                    f"model 'cs' c_div={divisor} leaves no community at n={n}"
-                )
+            if divisor < 1:
+                raise ConfigError(f"model 'cs' parameter 'c_div' must be >= 1, got {divisor}")
             named["c"] = n // divisor
             named["c_div"] = divisor
+        if model != "nonisomorphic":
+            _generator_rule(ModelConfig, model, n, named)
         params = tuple(sorted(named.items()))
         combos.append((model, n, params))
     return combos

@@ -25,12 +25,11 @@ from graphbench import (
     eigenvector,
     erdos_renyi,
     information,
-    power_iteration,
     subgraph,
     sym_eigen,
     walk_betweenness,
 )
-from graphbench.centrality import MEASURES
+from graphbench.centrality import MEASURES, information_intermediate, power_iteration
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -166,8 +165,6 @@ class TestInformation:
         assert np.max(np.abs(information(P3).values - [1.0, 1.5, 1.0])) <= 1e-9
 
     def test_row_sums_constant(self, corpus_small):
-        from graphbench import information_intermediate
-
         for g in corpus_small:
             if g.n < 2:
                 continue

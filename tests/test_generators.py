@@ -12,7 +12,6 @@ from graphbench import (
     KroneckerInitiator,
     ModelConfig,
     bfs_all_pairs,
-    community_memberships,
     community_structure,
     derive_seed,
     ensure_connected,
@@ -21,16 +20,19 @@ from graphbench import (
     format_graph6,
     generate,
     geographical,
-    grid_pair_probabilities,
     is_connected,
     kronecker,
-    kronecker_pair_probabilities,
     mix64,
     scale_free,
     small_world,
     splitmix64,
 )
-from graphbench.generators import CONNECTED_CLASS_COUNTS, DEFAULT_MAX_RETRIES
+from graphbench.generators import (
+    CONNECTED_CLASS_COUNTS,
+    DEFAULT_MAX_RETRIES,
+    grid_pair_probabilities,
+    kronecker_pair_probabilities,
+)
 
 
 class TestSeeds:
@@ -158,35 +160,10 @@ class TestCommunityStructure:
         g = community_structure(20, 0.0, 1.0, 5, 0)
         assert g.m == 0
 
-    def test_mean_memberships(self):
-        # Binomial(10, 0.1) per vertex: grand mean over 100 seeds of
-        # 100 vertices each stays within 3 standard errors of 1.0.
-        totals = [
-            community_memberships(100, 0.1, 10, seed).sum() for seed in range(100)
-        ]
-        grand_mean = np.sum(totals) / (100 * 100)
-        se = np.sqrt(10 * 0.1 * 0.9 / (100 * 100))
-        assert abs(grand_mean - 1.0) <= 3 * se
-
-    def test_memberships_match_generator_stream(self):
-        # community_structure draws memberships first from the same seed.
-        member = community_memberships(30, 0.3, 4, 77)
-        g = community_structure(30, 0.3, 0.0, 4, 77)
-        assert g.m == 0
-        assert member.shape == (30, 4)
-
-    def test_edges_follow_memberships_of_same_seed(self):
-        member = community_memberships(30, 0.3, 4, 77).astype(int)
-        g = community_structure(30, 0.3, 1.0, 4, 77)
-        shared = (member @ member.T > 0) & ~np.eye(30, dtype=bool)
-        assert np.array_equal(g.adjacency_matrix.astype(bool), shared)
-
     @pytest.mark.parametrize("p_c, c", [(1.5, 2), (-0.5, 2), (0.5, 0)])
     def test_membership_parameters_validated(self, p_c, c):
         with pytest.raises(ValueError):
             community_structure(10, p_c, 0.5, c, 0)
-        with pytest.raises(ValueError):
-            community_memberships(10, p_c, c, 0)
 
 
 class TestKronecker:
@@ -316,13 +293,17 @@ class TestEnsureConnected:
         {"p_c": 1.5, "p": 1.5, "c": 0},
     ])
     def test_cs_invalid_parameters_raise_as_generate(self, params):
-        cfg = ModelConfig("cs", 100, params, 3)
-        with pytest.raises(ValueError) as expected:
-            generate(cfg)
+        # The config is rejected as it is built, before any attempt, with
+        # the error the generator raises on the same arguments.
         with pytest.raises(ValueError) as got:
-            ensure_connected(cfg)
-        assert type(got.value) is type(expected.value)
-        assert str(got.value) == str(expected.value)
+            ModelConfig("cs", 100, params, 3)
+        if {"p_c", "p", "c"} <= params.keys():
+            with pytest.raises(ValueError) as expected:
+                community_structure(100, params["p_c"], params["p"], params["c"], 3)
+            assert str(got.value) == str(expected.value)
+        else:
+            missing = ", ".join(name for name in ("p_c", "p", "c") if name not in params)
+            assert str(got.value) == f"model 'cs' is missing parameter {missing}"
 
 
 class TestGeneratedGraphsAreSimple:
@@ -429,14 +410,36 @@ class TestModelConfig:
         ("cs", 30, {"p_c": 0.5, "p": 0.5}, "c"),
     ])
     def test_whole_number_parameters_never_truncated(self, model, n, params, name, value):
+        # Rejected as the config is built, so neither generate nor a retry
+        # ever sees it.
         n = n or 1 << int(value)
-        cfg = ModelConfig(model=model, n=n, params={**params, name: value}, seed=1)
-        match = f"parameter '{name}' must be a whole number, got {value!r}"
+        match = f"model '{model}' parameter '{name}' must be a whole number, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(match)):
-            generate(cfg)
-        with pytest.raises(ValueError, match=re.escape(match)):
-            ensure_connected(cfg, max_retries=3)
+            ModelConfig(model=model, n=n, params={**params, name: value}, seed=1)
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):
             ModelConfig(model="xx", n=10)
+
+    @pytest.mark.parametrize("n, params, message", [
+        (0, {"q": 1}, "model 'er' parameter 'n' must be a whole number >= 1, got 0"),
+        (10.0, {"p": 0.5}, "model 'er' parameter 'n' must be a whole number >= 1, got 10.0"),
+        (10, {"q": 1}, "model 'er' is missing parameter p"),
+        (10, {"p": 2, "q": 1}, "unknown parameter 'q' for model 'er'"),
+        (10, {"p": 2}, "edge probability must be in [0, 1], got 2"),
+    ], ids=["n", "n_float", "missing", "unknown", "range"])
+    def test_checks_in_order(self, n, params, message):
+        with pytest.raises(ValueError) as got:
+            ModelConfig(model="er", n=n, params=params)
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_kronecker_power_checked_before_shift(self, k):
+        initiator = KroneckerInitiator("x", (0.9, 0.5, 0.5, 0.1))
+        message = f"model 'kg' parameter 'k' must be >= 1, got {k}"
+        with pytest.raises(ValueError) as got:
+            kronecker(initiator, k, 0)
+        assert str(got.value) == message
+        with pytest.raises(ValueError) as got:
+            ModelConfig("kg", 1, {"initiator": initiator.p, "k": k})
+        assert str(got.value) == message

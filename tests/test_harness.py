@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +20,36 @@ from graphbench import (
 )
 from graphbench import cli, harness
 from graphbench.cli import main as cli_main
-from graphbench.generators import KroneckerInitiator, kronecker
+from graphbench.generators import KroneckerInitiator, ModelConfig, kronecker
 from graphbench.graphs import Graph, format_edge_list
 from graphbench.harness import TABLE_FILES, RunResult, _ramp
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Configs whose every sample would fail its generator's own check; the
+# plan rejects each with that generator's message.
+OUT_OF_RANGE = [
+    ({"model": "er", "n": [10], "p": [1.5]}, "edge probability must be in [0, 1], got 1.5"),
+    ({"model": "sf", "n": [10], "k": [20]}, "need 2 <= k < n, got k=20, n=10"),
+    ({"model": "sw", "n": [10], "k": [3], "p": [0.1]}, "neighbor count k must be even, got 3"),
+    ({"model": "gr", "n": [10], "kappa": [1.5]},
+     "geographical model needs a square vertex count, got 10"),
+    ({"model": "er", "n": [10], "p": ["x"]}, "model 'er' parameter 'p' must be a number, got 'x'"),
+]
+OUT_OF_RANGE_IDS = ["er_p", "sf_k", "sw_odd_k", "gr_n", "er_p_text"]
+
+# Probabilities and kappa are ints or floats: a string or a boolean is
+# rejected, never coerced.
+NOT_NUMBERS = [
+    ({"model": "er", "n": [10], "p": ["0.5"]}, "model 'er' parameter 'p' must be a number, got '0.5'"),
+    ({"model": "gr", "n": [9], "kappa": [True]},
+     "model 'gr' parameter 'kappa' must be a number, got True"),
+    ({"model": "cs", "n": [10], "p_c": ["0.1"], "p": [0.5], "c_div": [2]},
+     "model 'cs' parameter 'p_c' must be a number, got '0.1'"),
+    ({"model": "sw", "n": [10], "k": [4], "p": [False]},
+     "model 'sw' parameter 'p' must be a number, got False"),
+]
+NOT_NUMBERS_IDS = ["er_p_number_text", "gr_kappa_bool", "cs_p_c_text", "sw_p_bool"]
 
 
 def _tiny_config(out_dir, **overrides):
@@ -198,6 +226,38 @@ class TestPlanning:
     def test_invalid_kg_entry_rejected(self, tmp_path, entry, match):
         with pytest.raises(ConfigError, match=re.escape(match)):
             self._kg_plan(tmp_path, **entry)
+
+    @pytest.mark.parametrize("entry, message", OUT_OF_RANGE + NOT_NUMBERS,
+                             ids=OUT_OF_RANGE_IDS + NOT_NUMBERS_IDS)
+    def test_generator_rules_checked_at_plan_time(self, entry, message):
+        with pytest.raises(ConfigError) as got:
+            plan_experiments({"models": [entry]})
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize("c_div, message", [
+        (0, "model 'cs' parameter 'c_div' must be >= 1, got 0"),
+        (-5, "model 'cs' parameter 'c_div' must be >= 1, got -5"),
+        (50, "community count must be >= 1, got 0"),
+    ], ids=["zero", "negative", "no_community"])
+    def test_cs_c_div_range(self, c_div, message):
+        with pytest.raises(ConfigError) as got:
+            plan_experiments({"models": [{"model": "cs", "n": [40], "p_c": [0.1],
+                                          "p": [0.5], "c_div": [c_div]}]})
+        assert str(got.value) == message
+
+    def test_shipped_configs_plan(self, monkeypatch):
+        # The shipped configs name their initiator file relative to the
+        # repository root, where the README runs them.
+        monkeypatch.chdir(ROOT)
+        paths = [path for path in sorted((ROOT / "configs").glob("*.json"))
+                 if "models" in json.loads(path.read_text())]
+        assert len(paths) >= 2
+        for path in paths:
+            plan = plan_experiments(path)
+            for cell in plan.cells:
+                if cell.model != "nonisomorphic":
+                    cfg = ModelConfig(cell.model, cell.n, cell.params_dict())
+                    assert cfg.params == cell.params_dict()
 
     def test_replanning_is_identical(self):
         config = _tiny_config("x")
@@ -781,6 +841,42 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("entry, message", OUT_OF_RANGE + NOT_NUMBERS,
+                             ids=OUT_OF_RANGE_IDS + NOT_NUMBERS_IDS)
+    def test_plan_time_range_error_keeps_earlier_run(self, tmp_path, capsys, entry,
+                                                     message):
+        out_dir = tmp_path / "results"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_tiny_config(out_dir)))
+        assert cli_main(["experiment", "--config", str(config)]) == 0
+        before = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+        config.write_text(json.dumps(_tiny_config(out_dir, models=[entry])))
+        capsys.readouterr()
+        assert cli_main(["experiment", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("model, params, message", [
+        ("er", ["p=0.3", "q=1"], "unknown parameter 'q' for model 'er'"),
+        ("sf", ["k=2", "p=0.1"], "unknown parameter 'p' for model 'sf'"),
+        ("sw", ["k=4", "p=0.1", "kappa=2"], "unknown parameter 'kappa' for model 'sw'"),
+        ("gr", ["kappa=1.5", "c_div=2"], "unknown parameter 'c_div' for model 'gr'"),
+        # kg's initiator_name is recorded beside kg parameters only.
+        ("cs", ["p_c=0.5", "p=0.5", "c=2", "initiator_name=a"],
+         "unknown parameter 'initiator_name' for model 'cs'"),
+        ("er", ["p=x"], "model 'er' parameter 'p' must be a number, got 'x'"),
+        ("gr", ["kappa=True"], "model 'gr' parameter 'kappa' must be a number, got 'True'"),
+        ("gr", ["kappa=nan"], "kappa must exceed 1, got nan"),
+    ], ids=["er_unknown", "sf_unknown", "sw_unknown", "gr_unknown", "cs_unknown",
+            "er_p_text", "gr_kappa_text", "gr_kappa_nan"])
+    def test_generate_rejects_bad_params(self, tmp_path, capsys, model, params, message):
+        out = tmp_path / "x.edges"
+        rc = cli_main(["generate", "--model", model, "--n", "16",
+                       *[arg for p in params for arg in ("--param", p)], "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_generate_unconnected_failure_exit_code(self, tmp_path):
         rc = cli_main([

@@ -6,7 +6,8 @@ from scipy.linalg import lu_factor, lu_solve
 
 from oracles import DENSITY_CUT_SAMPLES, sample_id, seeded_sample
 
-from graphbench import SingularMatrixError, invert, solve_linear, sym_eigen
+from graphbench import SingularMatrixError, invert, sym_eigen
+from graphbench.linalg import solve_linear
 
 
 def _scipy_inverse(a):

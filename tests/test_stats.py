@@ -22,10 +22,9 @@ from graphbench import (
     granularity,
     kendall_tau_b,
     mean_ci,
-    round6,
 )
 from graphbench import stats
-from graphbench.stats import distinct_counts, kendall_tau_b_matrix
+from graphbench.stats import distinct_counts, kendall_tau_b_matrix, round6
 
 
 class TestKendallTauB:
