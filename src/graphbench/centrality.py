@@ -18,6 +18,10 @@ Every measure maps a :class:`~graphbench.graphs.Graph` to a
   unit current is injected across each vertex pair, endpoint pairs
   contributing exactly 1.
 
+``eigenvector`` and ``subgraph`` have one kernel each over a stack of
+graphs on one vertex count (:data:`STACK_KERNELS`), which the harness
+calls once per census cell; the per-graph functions are its stack of one.
+
 Measures that are undefined on disconnected input (all but ``degree``,
 ``eigenvector`` and ``subgraph``) raise :class:`DisconnectedGraphError`
 rather than computing per-component values.
@@ -79,11 +83,7 @@ class CentralityVector:
     def __post_init__(self):
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
-        values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{self.measure}: non-finite centrality value")
-        if values.size and values.min() < 0:
-            raise ValueError(f"{self.measure}: negative centrality value")
+        values = _checked(self.measure, self.values)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -93,11 +93,30 @@ class CentralityVector:
 
 @dataclass(frozen=True)
 class PowerIterationState:
-    """Final iterate of the eigenvector power iteration."""
+    """Final iterates of the eigenvector power iteration over a stack of
+    graphs: one row of ``iterate``, one iteration count and one last
+    delta per graph."""
 
     iterate: np.ndarray
-    iterations: int
-    last_delta: float
+    iterations: np.ndarray
+    last_delta: np.ndarray
+
+
+def _checked(measure: str, values) -> np.ndarray:
+    """``values`` as a float array; a non-finite or negative score raises."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{measure}: non-finite centrality value")
+    if values.size and values.min() < 0:
+        raise ValueError(f"{measure}: negative centrality value")
+    return values
+
+
+def _adjacency_stack(graphs) -> np.ndarray:
+    """The ``(k, n, n)`` adjacency matrices of graphs on one vertex count."""
+    if len({g.n for g in graphs}) != 1:
+        raise ValueError("a stack needs at least one graph, all on one vertex count")
+    return np.stack([g.adjacency_matrix for g in graphs])
 
 
 def _require_connected(g: Graph, measure: str) -> None:
@@ -163,34 +182,64 @@ def betweenness(g: Graph) -> CentralityVector:
 
 
 def power_iteration(
-    g: Graph,
+    graphs,
     tol: float = POWER_ITERATION_TOL,
     max_iterations: int = POWER_ITERATION_CAP,
 ) -> PowerIterationState:
-    """Iterate ``v <- (A + I) v`` with sum-normalization from all-ones.
+    """Iterate ``v <- (A + I) v`` with sum-normalization from all-ones, for
+    each graph of a stack on one vertex count.
 
     The unit diagonal makes the iteration aperiodic, so it converges on
-    every connected graph, including bipartite ones.
+    every connected graph, including bipartite ones. One ``np.matmul``
+    multiplies the whole ``(k, n, n)`` stack per iteration; it applies to
+    each matrix the gemv that the product of that matrix alone would, and
+    a graph leaves the stack at its own convergence, so each graph's
+    iterate, iteration count and last delta are bit for bit those of a
+    stack of one. The buffers are reused until a graph leaves.
     """
-    m = g.adjacency_matrix + np.eye(g.n)
-    v = np.full(g.n, 1.0 / g.n)
+    m = _adjacency_stack(graphs)
+    k, n, _ = m.shape
+    m += np.eye(n)
+    v = np.full((k, n, 1), 1.0 / n)
+    w, diff = np.empty_like(v), np.empty_like(v)
+    iterate, last_delta = np.empty((k, n)), np.empty(k)
+    iterations = np.zeros(k, dtype=int)
+    rows = np.arange(k)  # stack position of each graph still iterating
     for iteration in range(1, max_iterations + 1):
-        w = m @ v
-        w /= w.sum()
-        delta = float(np.max(np.abs(w - v)))
-        v = w
-        if delta < tol:
-            return PowerIterationState(iterate=v, iterations=iteration, last_delta=delta)
+        np.matmul(m, v, out=w)
+        w /= w.sum(axis=1, keepdims=True)
+        np.subtract(w, v, out=diff)
+        np.abs(diff, out=diff)
+        delta = diff.max(axis=1)[:, 0]
+        v, w = w, v
+        done = delta < tol
+        if done.any():
+            iterate[rows[done]] = v[done, :, 0]
+            iterations[rows[done]] = iteration
+            last_delta[rows[done]] = delta[done]
+            if done.all():
+                return PowerIterationState(iterate, iterations, last_delta)
+            going = ~done
+            rows, m, v = rows[going], m[going], v[going]
+            w, diff = np.empty_like(v), np.empty_like(v)
     raise ConvergenceError(
         f"power iteration did not reach {tol:g} within {max_iterations} iterations"
     )
 
 
+def eigenvector_scores(graphs) -> np.ndarray:
+    """Eigenvector centrality of each graph of a stack on one vertex count,
+    one row per graph: the converged power-iteration iterate divided by its
+    largest entry."""
+    for g in graphs:
+        _require_connected(g, "eigenvector")
+    v = power_iteration(graphs).iterate
+    return _checked("eigenvector", v / v.max(axis=1, keepdims=True))
+
+
 def eigenvector(g: Graph) -> CentralityVector:
-    """Converged power-iteration iterate divided by its largest entry."""
-    _require_connected(g, "eigenvector")
-    v = power_iteration(g).iterate
-    return CentralityVector("eigenvector", v / v.max())
+    """:func:`eigenvector_scores` of the stack of one."""
+    return CentralityVector("eigenvector", eigenvector_scores([g])[0])
 
 
 @dataclass(frozen=True)
@@ -231,10 +280,18 @@ def information(g: Graph) -> CentralityVector:
     )
 
 
+def subgraph_scores(graphs) -> np.ndarray:
+    """Subgraph centrality of each graph of a stack on one vertex count,
+    one row per graph: the diagonal of ``expm(A)`` from one stacked
+    eigendecomposition. Each matrix gets the ``eigh`` and the gemv it
+    would get alone, so every row is bit for bit that of a stack of one."""
+    lam, vecs = sym_eigen(_adjacency_stack(graphs))
+    return _checked("subgraph", np.matmul(vecs * vecs, np.exp(lam)[..., None])[..., 0])
+
+
 def subgraph(g: Graph) -> CentralityVector:
-    """Diagonal of ``expm(A)`` via eigendecomposition."""
-    lam, vecs = sym_eigen(g.adjacency_matrix)
-    return CentralityVector("subgraph", (vecs * vecs) @ np.exp(lam))
+    """:func:`subgraph_scores` of the stack of one."""
+    return CentralityVector("subgraph", subgraph_scores([g])[0])
 
 
 def walk_betweenness(g: Graph) -> CentralityVector:
@@ -309,6 +366,11 @@ _MEASURE_FUNCS = {
     "subgraph": subgraph,
     "walk_betweenness": walk_betweenness,
 }
+
+
+# The measures computed for a whole stack of graphs on one vertex count in
+# one call: name -> kernel(graphs), which returns one row of scores per graph.
+STACK_KERNELS = {"eigenvector": eigenvector_scores, "subgraph": subgraph_scores}
 
 
 def compute_measure(g: Graph, measure: str) -> CentralityVector:

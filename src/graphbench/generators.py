@@ -113,12 +113,32 @@ def kronecker_size(k) -> int:
     return 1 << k
 
 
+def census_count(n) -> int:
+    """The number of connected census classes on n vertices; the census
+    covers 1 <= n <= 7."""
+    if not 1 <= n <= 7:
+        raise ValueError(f"census supports 1 <= n <= 7, got {n}")
+    return CONNECTED_CLASS_COUNTS[n - 1]
+
+
+def check_initiator(p) -> None:
+    """Raise ``ValueError`` unless ``p`` is a Kronecker initiator: four
+    numbers (row-major), each in [0, 1]."""
+    if not isinstance(p, (list, tuple)) or len(p) != 4:
+        raise ValueError("initiator needs exactly 4 probabilities (row-major)")
+    for x in p:
+        _number("kg", "initiator", x)
+    if any(not 0.0 <= x <= 1.0 for x in p):
+        raise ValueError(f"initiator entries must lie in [0, 1]: {tuple(p)}")
+
+
 def check_params(model: str, n: int, params: Mapping[str, object]) -> None:
     """Raise ``ValueError`` unless ``params`` are valid arguments of ``model``'s
     generator on n vertices: the one copy of each parameter rule, run by every
-    ModelConfig and generator (kg's through :func:`kronecker_size`). No draw."""
+    ModelConfig and generator (kg's through :func:`check_initiator` and
+    :func:`kronecker_size`). No draw."""
     for name in _MODEL_PARAMS[model]:
-        if name != "initiator":  # KroneckerInitiator checks its own entries
+        if name != "initiator":
             _number(model, name, params[name], whole=name in ("k", "c"))
     p, k = params.get("p"), params.get("k")
     if model in ("er", "cs"):
@@ -140,8 +160,10 @@ def check_params(model: str, n: int, params: Mapping[str, object]) -> None:
         _probability("membership", params["p_c"])
         if params["c"] < 1:
             raise ValueError(f"community count must be >= 1, got {params['c']}")
-    if model == "kg" and n != kronecker_size(k):
-        raise ValueError(f"Kronecker graph needs n = 2**k, got n={n}, k={k}")
+    if model == "kg":
+        check_initiator(params["initiator"])
+        if n != kronecker_size(k):
+            raise ValueError(f"Kronecker graph needs n = 2**k, got n={n}, k={k}")
 
 
 def _pair_trials(n: int, probs, rng: np.random.Generator) -> Graph:
@@ -272,10 +294,7 @@ class KroneckerInitiator:
     p: tuple[float, float, float, float]  # row-major
 
     def __post_init__(self):
-        if len(self.p) != 4:
-            raise ValueError("initiator needs exactly 4 probabilities (row-major)")
-        if any(not 0.0 <= x <= 1.0 for x in self.p):
-            raise ValueError(f"initiator entries must lie in [0, 1]: {self.p}")
+        check_initiator(self.p)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -283,10 +302,13 @@ class KroneckerInitiator:
 
 
 def load_initiators(path) -> dict[str, KroneckerInitiator]:
-    """Read a JSON file mapping name -> [p00, p01, p10, p11]."""
+    """Read a JSON file mapping name -> [p00, p01, p10, p11]; each entry
+    must pass :func:`check_initiator` (a bool or a string is rejected, not
+    converted) and is stored as a float."""
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     out = {}
     for name, values in raw.items():
+        check_initiator(values)
         out[name] = KroneckerInitiator(name=name, p=tuple(float(v) for v in values))
     return out
 
@@ -406,8 +428,7 @@ def enumerate_connected_nonisomorphic(n: int) -> list[Graph]:
     squaring of their boolean ``A + I``, and only the connected ones become
     graphs, in ascending canonical order.
     """
-    if not 1 <= n <= 7:
-        raise ValueError(f"census supports 1 <= n <= 7, got {n}")
+    expected = census_count(n)
     if n == 1:
         return [Graph(1)]
     pairs = _graph6_pairs(n)
@@ -433,7 +454,6 @@ def enumerate_connected_nonisomorphic(n: int) -> list[Graph]:
     for _ in range((n - 2).bit_length()):  # (A + I)**(2**s) spans paths of length n - 1
         reach = reach @ reach
     reps = [Graph(n, pairs[b]) for b in bits[reach[:, 0].all(axis=1)]]
-    expected = CONNECTED_CLASS_COUNTS[n - 1]
     if len(reps) != expected:
         raise AssertionError(
             f"census found {len(reps)} classes on {n} vertices, expected {expected}"

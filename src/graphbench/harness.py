@@ -10,11 +10,15 @@ sample plus roll-up CSV tables.
 A sample has one form, :class:`RunResult`. The plan creates it with its
 identity (cell, sample, model, n, params, seed), the worker fills in what
 measuring the network records, and ``samples/cell####_s####.json`` holds
-its fields as written by :meth:`RunResult.to_dict`; :func:`load_results`
+its fields as written by :meth:`RunResult.to_dict`, on one line of JSON;
+:func:`load_results`
 rebuilds it from exactly those keys. Its ``tau`` maps each measure pair,
 keyed ``"a|b"`` by :func:`_pair`, to one tau-b value.
 :func:`write_all_tables` is the only path from samples to the roll-up
 CSVs, and every mean with a CI in them goes through :func:`_mean_cells`.
+
+The unit of work is a stack: a census cell's samples, measured together,
+or one sample drawn from its model (see :func:`_run_stack`).
 
 Execution is deterministic: every sample's seed is derived from the base
 seed and the sample's (model, cell, sample) coordinates, samples are
@@ -41,12 +45,12 @@ from time import perf_counter
 import numpy as np
 
 from . import stats
-from .centrality import MEASURES, SHORT_LABELS, compute_measure
+from .centrality import MEASURES, SHORT_LABELS, STACK_KERNELS, compute_measure
 from .generators import (
-    CONNECTED_CLASS_COUNTS,
     DEFAULT_MAX_RETRIES,
     MODEL_IDS,
     ModelConfig,
+    census_count,
     check_size,
     derive_seed,
     ensure_connected,
@@ -304,7 +308,7 @@ def plan_experiments(config) -> ExperimentPlan:
 
     initiators = None
     if config.get("kronecker_initiators_path"):
-        initiators = load_initiators(config["kronecker_initiators_path"])
+        initiators = _generator_rule(load_initiators, config["kronecker_initiators_path"])
 
     cells: list[ExperimentCell] = []
     seen: set = set()
@@ -315,9 +319,7 @@ def plan_experiments(config) -> ExperimentPlan:
                 raise ConfigError(f"duplicate cell in grid: {model} n={n} {params}")
             seen.add(key)
             if model == "nonisomorphic":
-                if not 1 <= n <= 7:
-                    raise ConfigError(f"nonisomorphic corpus supports n <= 7, got {n}")
-                samples = CONNECTED_CLASS_COUNTS[n - 1]
+                samples = _generator_rule(census_count, n)
             else:
                 samples = samples_per_cell
             cells.append(
@@ -336,59 +338,102 @@ def plan_experiments(config) -> ExperimentPlan:
     )
 
 
-def _run_sample(
-    result: RunResult, g: Graph | None, *, metrics, max_retries: int,
-    keep_vectors: bool,
-) -> RunResult:
-    """Worker body: measure the census graph ``g``, or draw a connected
-    network when ``g`` is None, and fill in ``result``."""
-    try:
-        if g is None:
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_stack(stack, *, metrics, max_retries: int, keep_vectors: bool) -> list[RunResult]:
+    """Worker body: measure one stack and fill in its records.
+
+    A stack is ``(records, graphs)``: every sample of a census cell with
+    the graphs the census built, or one sample drawn from its model, whose
+    ``graphs`` is None until its connected network is drawn. Each measure
+    of :data:`STACK_KERNELS` runs once for the stack, and its error is
+    recorded on every sample still being measured; its ``timings`` entry is
+    the call's time divided by the number of graphs it measured. Every
+    other measure runs per graph through :func:`compute_measure`, and its
+    error is recorded on that sample alone. The statistics then run once
+    over the samples whose measures all succeeded."""
+    results, graphs = stack
+    if graphs is None:
+        (result,) = results
+        try:
             cfg = ModelConfig(
                 model=result.model, n=result.n, params=result.params, seed=result.seed,
             )
             g, result.retries = ensure_connected(cfg, max_retries)
-        vectors = {}
-        for m in metrics:
+        except Exception as exc:  # failures are recorded, never fatal to the run
+            result.error = _error_text(exc)
+            return results
+        graphs = [g]
+    n = graphs[0].n
+    scores = np.empty((len(results), len(metrics), n))
+    for j, m in enumerate(metrics):
+        live = [i for i, r in enumerate(results) if r.error is None]
+        if not live:
+            break
+        kernel = STACK_KERNELS.get(m)
+        for group in [live] if kernel else [[i] for i in live]:
             t0 = perf_counter()
-            vectors[m] = compute_measure(g, m)
-            result.timings[m] = perf_counter() - t0
-        scores = np.stack([vectors[m].values for m in metrics])
-        for m, count in zip(metrics, stats.distinct_counts(scores).tolist()):
-            result.distinct_counts[m] = count
-            result.granularity[m] = 100.0 * count / g.n
-        tau = stats.kendall_tau_b_matrix(scores)
-        for (i, a), (j, b) in itertools.combinations(enumerate(metrics), 2):
-            result.tau[_pair(a, b)] = float(tau[i, j])
+            try:
+                if kernel:
+                    scores[group, j] = kernel([graphs[i] for i in group])
+                else:
+                    scores[group, j] = compute_measure(graphs[group[0]], m).values
+            except Exception as exc:
+                for i in group:
+                    results[i].error = _error_text(exc)
+                continue
+            share = (perf_counter() - t0) / len(group)
+            for i in group:
+                results[i].timings[m] = share
+    measured = [i for i, r in enumerate(results) if r.error is None]
+    if not measured:
+        return results
+    ok = scores[measured]
+    try:
+        counts = stats.distinct_counts(ok.reshape(-1, n)).reshape(len(measured), -1)
+        for i, row in zip(measured, counts.tolist()):
+            for m, count in zip(metrics, row):
+                results[i].distinct_counts[m] = count
+                results[i].granularity[m] = 100.0 * count / n
+        tau = stats.kendall_tau_b_matrix(ok)
+    except Exception as exc:
+        for i in measured:
+            results[i].error = _error_text(exc)
+        return results
+    pairs = [(_pair(a, b), ia, ib)
+             for (ia, a), (ib, b) in itertools.combinations(enumerate(metrics), 2)]
+    for i, sample_tau, sample_scores in zip(measured, tau, ok):
+        for key, ia, ib in pairs:
+            results[i].tau[key] = float(sample_tau[ia, ib])
         if keep_vectors:
-            result.vectors = {
-                m: [float(x) for x in vec.values] for m, vec in vectors.items()
-            }
-    except Exception as exc:  # failures are recorded, never fatal to the run
-        result.error = f"{type(exc).__name__}: {exc}"
-    return result
+            results[i].vectors = dict(zip(metrics, sample_scores.tolist()))
+    return results
 
 
-def _build_tasks(plan: ExperimentPlan) -> tuple[list[RunResult], list[Graph | None]]:
-    """One identity-only record per planned sample, in canonical order, and
-    beside each its census graph (None for a sample drawn from its model)."""
-    records: list[RunResult] = []
-    graphs: list[Graph | None] = []
+def _build_stacks(plan: ExperimentPlan) -> list[tuple[list[RunResult], list[Graph] | None]]:
+    """The plan's stacks in canonical order: one per census cell, holding
+    its identity-only records and the graphs the census built, and one per
+    sample drawn from a model, whose graphs are None."""
+    stacks = []
     for cell in plan.cells:
-        if cell.model == "nonisomorphic":
-            graphs.extend(enumerate_connected_nonisomorphic(cell.n))
-        else:
-            graphs.extend([None] * cell.samples)
-        for sample in range(cell.samples):
-            records.append(RunResult(
+        records = [
+            RunResult(
                 cell_index=cell.index,
                 sample_index=sample,
                 model=cell.model,
                 n=cell.n,
                 params=cell.params_dict(),
                 seed=plan.sample_seed(cell, sample),
-            ))
-    return records, graphs
+            )
+            for sample in range(cell.samples)
+        ]
+        if cell.model == "nonisomorphic":
+            stacks.append((records, enumerate_connected_nonisomorphic(cell.n)))
+        else:
+            stacks.extend(([record], None) for record in records)
+    return stacks
 
 
 def _manifest(plan: ExperimentPlan) -> dict:
@@ -427,8 +472,10 @@ def run_experiment(
 ) -> list[RunResult]:
     """Execute the plan and persist samples, manifest, and roll-up tables.
 
-    Samples are independent; they run in a spawned process pool of
-    ``min(workers, os.cpu_count(), samples)`` processes, or in this
+    The unit of work is a stack (see :func:`_run_stack`): each census cell
+    is one, and each sample drawn from a model is one. Stacks are
+    independent; they run in a spawned process pool of
+    ``min(workers, os.cpu_count(), stacks)`` processes, or in this
     process when that is 1. Aggregation follows canonical sample order, so
     outputs do not depend on scheduling or the worker count. Sample
     records, roll-up tables and the heatmap an earlier run left in
@@ -438,19 +485,20 @@ def run_experiment(
     out_dir = Path(plan.output_dir)
     samples_dir = out_dir / "samples"
     samples_dir.mkdir(parents=True, exist_ok=True)
-    records, graphs = _build_tasks(plan)
+    stacks = _build_stacks(plan)
     run = partial(
-        _run_sample, metrics=plan.metrics, max_retries=plan.max_retries,
+        _run_stack, metrics=plan.metrics, max_retries=plan.max_retries,
         keep_vectors=keep_vectors,
     )
-    workers = min(workers, os.cpu_count() or 1, len(records))
+    workers = min(workers, os.cpu_count() or 1, len(stacks))
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=get_context("spawn")
         ) as pool:
-            results = list(pool.map(run, records, graphs, chunksize=4))
+            measured = list(pool.map(run, stacks))
     else:
-        results = list(map(run, records, graphs))
+        measured = list(map(run, stacks))
+    results = [result for stack in measured for result in stack]
 
     tables = [out_dir / name for name in TABLE_FILES.values()]
     for stale in [*samples_dir.glob("cell*_s*.json"), *tables, out_dir / HEATMAP_FILE]:
@@ -461,8 +509,7 @@ def run_experiment(
     for result in results:
         name = _record_name(result.cell_index, result.sample_index)
         (samples_dir / name).write_text(
-            json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
+            json.dumps(result.to_dict(), sort_keys=True) + "\n", encoding="utf-8"
         )
     if any(result.error is None for result in results):
         write_all_tables(results, out_dir, confidence=plan.confidence)

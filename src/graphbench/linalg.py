@@ -66,16 +66,19 @@ def invert(a: np.ndarray) -> np.ndarray:
 
 
 def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of a symmetric matrix, or of each matrix of a
+    ``(..., n, n)`` stack.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors as orthonormal columns, so ``a == V @ diag(w) @ V.T`` up
-    to roundoff. Input asymmetric beyond ``SYMMETRY_TOL`` is rejected.
+    to roundoff. Input asymmetric beyond ``SYMMETRY_TOL`` is rejected. A
+    stack is decomposed one matrix at a time by the same LAPACK call, so
+    each result is bit for bit that of the matrix alone.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if a.size and np.max(np.abs(a - a.T)) > SYMMETRY_TOL:
+    if a.size and np.max(np.abs(a - a.swapaxes(-1, -2))) > SYMMETRY_TOL:
         raise ValueError("matrix is not symmetric within tolerance")
     w, v = np.linalg.eigh(a)
     return w, v

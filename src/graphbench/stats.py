@@ -1,8 +1,10 @@
 """Rank correlation with tie correction, granularity, and confidence intervals.
 
 Each statistic has one kernel, which takes a sample's ``(k, n)`` score
-matrix (one row per measure) whole; the one-vector functions are thin
-calls into it.
+matrix (one row per measure) whole, or a stack of them: the tau-b kernel
+a ``(S, k, n)`` stack, the distinct-value count any number of rows, so a
+stack's ``(S*k, n)`` rows in one call. The one-vector functions are thin
+calls into them.
 
 ``kendall_tau_b_matrix`` rests on the Gram identity. Let ``S`` hold, for
 each row, the ordered-pair signs ``sign(x_i - x_j)`` over all ``n**2``
@@ -12,10 +14,12 @@ and b, and ``G[a, a]`` is ``2 n_a``, twice the pairs not tied in row a.
 Tau-b is ``G[a, b] / sqrt(G[a, a] * G[b, b])``: concordant minus
 discordant pairs over the geometric mean of the pair counts not tied in
 each variable, which is the standard tie correction. Pairs tied in
-either variable add nothing to the numerator. ``G`` is accumulated in
-float64 over blocks of ``_TAU_BLOCK`` vertices, so no ``(k, n**2)`` or
-n×n float64 array is held. Every entry is an integer below 2**53, so the
-sum is exact whatever the block or BLAS summation order, and the
+either variable add nothing to the numerator. For a stack, each sample
+has its own ``G``, all taken by one batched product per block. ``G`` is
+accumulated in float64 over blocks of vertices sized so that a block
+holds about ``_TAU_SIGNS`` signs (1 MB), so no ``(k, n**2)`` or n×n
+float64 array is held. Every entry is an integer below 2**53, so the
+sum is exact whatever the block, stack or BLAS summation order, and the
 doubling cancels exactly: the result is the float of pair counting.
 NaN and infinite inputs are rejected with :class:`ValueError`.
 Degenerate inputs are pinned by convention: two constant vectors
@@ -45,9 +49,9 @@ import numpy as np
 
 TAU_CONVENTIONS = {"both_constant": 1.0, "one_constant": 0.0}
 
-# Vertices per block of the sign matrix: eight rows at n = 500 take
-# 8 * 32 * 500 float64 signs, about 1 MB.
-_TAU_BLOCK = 32
+# Signs per block of the sign matrix, about 1 MB of float64: eight rows
+# at n = 500 take blocks of 32 vertices.
+_TAU_SIGNS = 1 << 17
 
 _SIX_PLACES = decimal.Decimal("0.000001")
 
@@ -55,34 +59,34 @@ _SIX_PLACES = decimal.Decimal("0.000001")
 _DECIMAL_CTX = decimal.Context(prec=340, rounding=decimal.ROUND_HALF_UP)
 
 
-def _score_rows(rows) -> np.ndarray:
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError(f"expected a (k, n) array, got {rows.ndim} dimension(s)")
-    return rows
-
-
 def kendall_tau_b_matrix(rows) -> np.ndarray:
     """The ``(k, k)`` Kendall tau-b matrix of the rows of a ``(k, n)``
-    array (n >= 2)."""
-    rows = _score_rows(rows)
-    k, n = rows.shape
+    array (n >= 2), or the ``(S, k, k)`` matrices of the samples of a
+    ``(S, k, n)`` stack, each bit for bit that of its sample alone."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim not in (2, 3):
+        raise ValueError(
+            f"expected a (k, n) array or a (S, k, n) stack, got {rows.ndim} dimension(s)"
+        )
+    stack = rows if rows.ndim == 3 else rows[None]
+    s, k, n = stack.shape
     if n < 2:
         raise ValueError("need at least two observations")
-    if not np.isfinite(rows).all():
+    if not np.isfinite(stack).all():
         raise ValueError("inputs must be finite (no NaN or inf)")
-    gram = np.zeros((k, k))
-    for lo in range(0, n, _TAU_BLOCK):
-        signs = np.sign(rows[:, lo : lo + _TAU_BLOCK, None] - rows[:, None, :])
-        signs = signs.reshape(k, -1)
-        gram += signs @ signs.T
-    untied = np.diag(gram)
-    denom = np.sqrt(np.multiply.outer(untied, untied))
-    tau = np.full((k, k), TAU_CONVENTIONS["one_constant"])
+    block = max(1, _TAU_SIGNS // max(1, s * k * n))
+    gram = np.zeros((s, k, k))
+    for lo in range(0, n, block):
+        signs = stack[:, :, lo : lo + block, None] - stack[:, :, None, :]
+        signs = np.sign(signs, out=signs).reshape(s, k, -1)
+        gram += signs @ signs.swapaxes(1, 2)
+    untied = np.diagonal(gram, axis1=1, axis2=2)
+    denom = np.sqrt(untied[:, :, None] * untied[:, None, :])
+    tau = np.full((s, k, k), TAU_CONVENTIONS["one_constant"])
     np.divide(gram, denom, out=tau, where=denom > 0)
     constant = untied == 0
-    tau[np.ix_(constant, constant)] = TAU_CONVENTIONS["both_constant"]
-    return tau
+    tau[constant[:, :, None] & constant[:, None, :]] = TAU_CONVENTIONS["both_constant"]
+    return tau.reshape(*rows.shape[:-1], k)
 
 
 def kendall_tau_b(x, y) -> float:
@@ -135,7 +139,9 @@ def distinct_counts(rows) -> np.ndarray:
     and an integral ``Decimal`` equals, and hashes like, the float of the
     same integer, so one set holds both kinds.
     """
-    v = _score_rows(rows)
+    v = np.asarray(rows, dtype=float)
+    if v.ndim != 2:
+        raise ValueError(f"expected a (k, n) array, got {v.ndim} dimension(s)")
     if not np.isfinite(v).all():
         raise ValueError("values must be finite (no NaN or inf)")
     # The clip keeps huge values from overflowing; they stay above 2**49.

@@ -1,3 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,7 +36,13 @@ from graphbench import (
     sym_eigen,
     walk_betweenness,
 )
-from graphbench.centrality import MEASURES, information_intermediate, power_iteration
+from graphbench.centrality import (
+    MEASURES,
+    eigenvector_scores,
+    information_intermediate,
+    power_iteration,
+    subgraph_scores,
+)
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -150,9 +163,9 @@ class TestEigenvector:
 
     def test_sums_to_one(self):
         g = _random_connected(30, 0.2, 5)
-        state = power_iteration(g)
-        assert state.last_delta < 1e-12
-        assert abs(state.iterate.sum() - 1.0) < 1e-12
+        state = power_iteration([g])
+        assert state.last_delta[0] < 1e-12
+        assert abs(state.iterate[0].sum() - 1.0) < 1e-12
 
 
 class TestInformation:
@@ -201,6 +214,74 @@ class TestSubgraph:
             lam, _ = sym_eigen(g.adjacency_matrix)
             assert np.all(values >= 1.0 - 1e-12)
             assert values.sum() == pytest.approx(np.exp(lam).sum(), abs=1e-8)
+
+
+class TestStacks:
+    """eigenvector and subgraph take a stack of graphs on one vertex count
+    in one call; each graph's result is bit for bit its stack of one."""
+
+    def test_power_iteration_stack_matches_stack_of_one(self, corpus6, corpus7):
+        for corpus in (corpus6, corpus7):
+            state = power_iteration(corpus)
+            assert state.iterate.shape == (len(corpus), corpus[0].n)
+            for i, g in enumerate(corpus):
+                alone = power_iteration([g])
+                assert state.iterate[i].tobytes() == alone.iterate[0].tobytes()
+                assert state.iterations[i] == alone.iterations[0]
+                assert state.last_delta[i] == alone.last_delta[0]
+            # Graphs leave the stack at different iterations.
+            assert len(set(state.iterations.tolist())) > 1
+
+    def test_scores_stack_matches_stack_of_one(self, corpus6, corpus7):
+        for corpus in (corpus6, corpus7):
+            for kernel, measure in ((eigenvector_scores, eigenvector),
+                                    (subgraph_scores, subgraph)):
+                rows = kernel(corpus)
+                for row, g in zip(rows, corpus):
+                    assert row.tobytes() == measure(g).values.tobytes()
+
+    def test_stack_needs_one_vertex_count(self):
+        for kernel in (power_iteration, eigenvector_scores, subgraph_scores):
+            with pytest.raises(ValueError, match="one vertex count"):
+                kernel([P3, P4])
+            with pytest.raises(ValueError, match="one vertex count"):
+                kernel([])
+
+    def test_disconnected_graph_fails_the_stack(self):
+        with pytest.raises(DisconnectedGraphError):
+            eigenvector_scores([P3, Graph(3, [(0, 1)])])
+
+    def test_stack_of_one_matches_pinned_hashes(self):
+        # sha256 of the score bytes from the per-graph forms these kernels
+        # replaced, in an interpreter with BLAS on one thread: a threaded
+        # eigh rounds differently at n = 500.
+        pinned = {
+            "er": ["ndarray",
+                   "08e2fe10e23e297c6b00cecae5638cfe47f3228236fd85e826e4d34a8e651986",
+                   "1c7107f3ed8aa0f0d2e44a11a38d11e38ec811cab72b30085f7036f7356bf482"],
+            "sw": ["csr_array",
+                   "4efb923ca342f55b59d17697120937ccf31a80cb28f5963c03c9178cacc64bd3",
+                   "7e10e22b2a24f11a26dd248fe85b609f429d6629e4a0dd383619c6a1a12c2cc6"],
+        }
+        code = textwrap.dedent("""
+            import hashlib, json
+            from oracles import seeded_sample
+            from graphbench import eigenvector, subgraph
+            out = {}
+            for spec in (("er", 100, {"p": 0.1}), ("sw", 500, {"k": 4, "p": 0.1})):
+                g = seeded_sample(*spec)
+                out[spec[0]] = [type(g.adjacency_operator).__name__] + [
+                    hashlib.sha256(f(g).values.tobytes()).hexdigest()
+                    for f in (eigenvector, subgraph)]
+            print(json.dumps(out))
+        """)
+        here = Path(__file__).resolve().parent
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True)
+        assert json.loads(done.stdout) == pinned
 
 
 class TestWalkBetweenness:

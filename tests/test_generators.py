@@ -190,6 +190,21 @@ class TestKronecker:
         with pytest.raises(ValueError):
             KroneckerInitiator("bad", (0.5, 0.5, 1.5, 0.5))
 
+    @pytest.mark.parametrize("initiator, message", [
+        ((2, 0, 0, 1), "initiator entries must lie in [0, 1]: (2, 0, 0, 1)"),
+        ((0.5, 0.5, 0.5), "initiator needs exactly 4 probabilities (row-major)"),
+        ((True, 0.5, 0.5, 0.1), "model 'kg' parameter 'initiator' must be a number, got True"),
+        ((0.9, "0.5", 0.5, 0.1), "model 'kg' parameter 'initiator' must be a number, got '0.5'"),
+    ], ids=["range", "length", "bool", "text"])
+    def test_initiator_rule_runs_when_config_is_built(self, initiator, message):
+        # The same rule, with the same text, guards the dataclass and the config.
+        with pytest.raises(ValueError) as got:
+            ModelConfig("kg", 8, {"initiator": initiator, "k": 3})
+        assert str(got.value) == message
+        with pytest.raises(ValueError) as got:
+            KroneckerInitiator("x", initiator)
+        assert str(got.value) == message
+
 
 def _reference_pairs(n, rng, keep):
     """The independent-pair draw written out: one uniform per pair i < j,
@@ -341,8 +356,10 @@ class TestCensus:
             assert all(is_connected(g) for g in enumerate_connected_nonisomorphic(n))
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            enumerate_connected_nonisomorphic(8)
+        for n in (0, 8):
+            with pytest.raises(ValueError) as got:
+                enumerate_connected_nonisomorphic(n)
+            assert str(got.value) == f"census supports 1 <= n <= 7, got {n}"
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_graphs_built_only_for_connected_classes(self, n, monkeypatch):

@@ -97,6 +97,15 @@ class TestPlanning:
         })
         assert [c.samples for c in plan.cells] == [112, 853]
 
+    @pytest.mark.parametrize("n, message", [
+        (0, "model 'nonisomorphic' parameter 'n' must be a whole number >= 1, got 0"),
+        (8, "census supports 1 <= n <= 7, got 8"),
+    ])
+    def test_census_size_rule(self, n, message):
+        with pytest.raises(ConfigError) as got:
+            plan_experiments({"models": [{"model": "nonisomorphic", "n": [n]}]})
+        assert str(got.value) == message
+
     def test_empty_models_rejected(self):
         with pytest.raises(ConfigError, match="models"):
             plan_experiments({"models": []})
@@ -227,6 +236,28 @@ class TestPlanning:
         with pytest.raises(ConfigError, match=re.escape(match)):
             self._kg_plan(tmp_path, **entry)
 
+    @pytest.mark.parametrize("entries, message", [
+        ('[true, "0.5", 0.5, 0.1]', "model 'kg' parameter 'initiator' must be a number, got True"),
+        ('[0.9, "0.5", 0.5, 0.1]', "model 'kg' parameter 'initiator' must be a number, got '0.5'"),
+        ("[0.9, 0.5, 0.5]", "initiator needs exactly 4 probabilities (row-major)"),
+        ("[0.9, 0.5, 1.5, 0.1]", "initiator entries must lie in [0, 1]: (0.9, 0.5, 1.5, 0.1)"),
+    ], ids=["bool", "text", "length", "range"])
+    def test_initiator_entries_checked_not_converted(self, tmp_path, entries, message):
+        path = tmp_path / "initiators.json"
+        path.write_text(f'{{"a": {entries}}}')
+        with pytest.raises(ConfigError) as got:
+            plan_experiments({"models": [{"model": "kg", "k": [3]}],
+                              "kronecker_initiators_path": str(path)})
+        assert str(got.value) == message
+
+    def test_whole_initiator_entries_stored_as_floats(self, tmp_path):
+        path = tmp_path / "initiators.json"
+        path.write_text('{"a": [1, 0, 0.5, 1]}')
+        (cell,) = plan_experiments({"models": [{"model": "kg", "k": [3]}],
+                                    "kronecker_initiators_path": str(path)}).cells
+        assert cell.params_dict()["initiator"] == (1.0, 0.0, 0.5, 1.0)
+        assert all(type(x) is float for x in cell.params_dict()["initiator"])
+
     @pytest.mark.parametrize("entry, message", OUT_OF_RANGE + NOT_NUMBERS,
                              ids=OUT_OF_RANGE_IDS + NOT_NUMBERS_IDS)
     def test_generator_rules_checked_at_plan_time(self, entry, message):
@@ -294,7 +325,8 @@ class TestRun:
 
     def test_worker_counts_agree_byte_for_byte(self, tmp_path):
         config = _tiny_config(tmp_path / "a", samples_per_cell=3)
-        config["models"].append({"model": "nonisomorphic", "n": [5]})  # pickled Graphs
+        # Census cells travel to the pool as stacks of pickled Graphs.
+        config["models"].append({"model": "nonisomorphic", "n": [5, 6]})
         run_experiment(plan_experiments(config), workers=1)
         config["output_dir"] = str(tmp_path / "b")
         run_experiment(plan_experiments(config), workers=2)
@@ -302,7 +334,7 @@ class TestRun:
             [{**r.to_dict(), "timings": None} for r in load_results(tmp_path / side)]
             for side in ("a", "b")
         ]
-        assert len(untimed[0]) == 3 + 21
+        assert len(untimed[0]) == 3 + 21 + 112
         assert untimed[0] == untimed[1]
         for name in ("correlation.csv", "granularity.csv", "best.csv",
                      "correlation_by_model.csv", "granularity_by_size.csv",
@@ -310,6 +342,63 @@ class TestRun:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
+
+    def test_records_are_one_line(self, tmp_path):
+        run_experiment(plan_experiments(_tiny_config(tmp_path / "out")))
+        for path in (tmp_path / "out" / "samples").glob("*.json"):
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        manifest = (tmp_path / "out" / "manifest.json").read_text()
+        assert manifest == json.dumps(json.loads(manifest), indent=2, sort_keys=True) + "\n"
+
+    def test_failing_stack_kernel_fails_its_stack(self, tmp_path, monkeypatch):
+        def broken(graphs):
+            raise ArithmeticError("no spectrum")
+
+        monkeypatch.setitem(harness.STACK_KERNELS, "subgraph", broken)
+        config = _tiny_config(tmp_path / "out", samples_per_cell=1,
+                              models=[{"model": "nonisomorphic", "n": [4, 5]},
+                                      {"model": "er", "n": [30], "p": [0.3]}])
+        results = run_experiment(plan_experiments(config))
+        assert len(results) == 6 + 21 + 1
+        for r in results:
+            assert r.error == "ArithmeticError: no spectrum"
+            assert r.tau == {} and r.distinct_counts == {}
+            # Measures before subgraph in the plan's order were timed.
+            assert list(r.timings) == ["betweenness", "closeness", "degree",
+                                       "eccentricity", "eigenvector", "information"]
+
+    def test_failing_graph_measure_fails_its_sample_only(self, tmp_path, monkeypatch):
+        config = _tiny_config(tmp_path / "a", models=[{"model": "nonisomorphic", "n": [5]}])
+        clean = run_experiment(plan_experiments(config))
+        census = harness.enumerate_connected_nonisomorphic(5)
+        doomed = census[7].edges.tobytes()
+        measure = harness.compute_measure
+
+        def failing(g, m):
+            if m == "closeness" and g.edges.tobytes() == doomed:
+                raise ArithmeticError("closeness broke")
+            return measure(g, m)
+
+        monkeypatch.setattr(harness, "compute_measure", failing)
+        config["output_dir"] = str(tmp_path / "b")
+        results = run_experiment(plan_experiments(config))
+        assert [r.error for r in results] == (
+            [None] * 7 + ["ArithmeticError: closeness broke"] + [None] * 13)
+        assert list(results[7].timings) == ["betweenness"]
+        assert results[7].tau == {} and results[7].distinct_counts == {}
+        # The stack's statistics run without the failed sample, and the
+        # others read as in the clean run.
+        for r, c in zip(results, clean):
+            if r.error is None:
+                assert {**r.to_dict(), "timings": None} == {**c.to_dict(), "timings": None}
+
+    def test_stacked_timings_share_the_call(self, tmp_path):
+        config = _tiny_config(tmp_path / "out", models=[{"model": "nonisomorphic", "n": [5]}])
+        results = run_experiment(plan_experiments(config))
+        for m in harness.STACK_KERNELS:
+            assert len({r.timings[m] for r in results}) == 1
+        assert len({r.timings["closeness"] for r in results}) > 1
 
     def test_failed_cell_recorded_and_run_continues(self, tmp_path):
         config = {
@@ -422,6 +511,15 @@ class TestRun:
             assert [r.error for r in results] == [None] * 3
         # Capped by the core count, then by the 3 samples; serial at 1.
         assert sizes == [2, 3]
+        # A census cell is one stack, whatever its sample count.
+        sizes.clear()
+        census = plan_experiments(_tiny_config(
+            tmp_path / "census", metrics=["degree", "closeness"],
+            models=[{"model": "nonisomorphic", "n": [4, 5]}]))
+        for workers in (8, 1):
+            results = run_experiment(census, workers=workers)
+            assert [r.error for r in results] == [None] * 27
+        assert sizes == [2]
 
     def test_keep_vectors(self, tmp_path):
         plan = plan_experiments(_tiny_config(tmp_path / "out"))

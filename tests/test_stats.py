@@ -210,8 +210,8 @@ class TestKendallTauBMatrix:
         with pytest.raises(ValueError, match="finite"):
             kendall_tau_b_matrix([[1.0, 2.0, 3.0], [1.0, bad, 3.0]])
 
-    @pytest.mark.parametrize("rows", [[1.0, 2.0, 3.0], 1.0, np.ones((2, 3, 4))],
-                             ids=["1-D", "0-D", "3-D"])
+    @pytest.mark.parametrize("rows", [[1.0, 2.0, 3.0], 1.0, np.ones((2, 3, 4, 5))],
+                             ids=["1-D", "0-D", "4-D"])
     def test_non_matrix_rejected(self, rows):
         with pytest.raises(ValueError, match=r"\(k, n\) array"):
             kendall_tau_b_matrix(rows)
@@ -219,6 +219,37 @@ class TestKendallTauBMatrix:
     def test_single_observation_rejected(self):
         with pytest.raises(ValueError, match="two observations"):
             kendall_tau_b_matrix([[1.0], [2.0]])
+
+
+class TestStackedStatistics:
+    """A census cell's statistics in one call each: every sample's tau-b
+    matrix and distinct counts bit for bit those of the sample alone."""
+
+    @pytest.fixture(scope="class")
+    def stacks(self, corpus6, corpus7):
+        return [np.stack([_score_matrix(g) for g in corpus]) for corpus in (corpus6, corpus7)]
+
+    def test_tau_b_stack_matches_per_sample(self, stacks):
+        for stack in stacks:
+            tau = kendall_tau_b_matrix(stack)
+            assert tau.shape == (len(stack), 8, 8)
+            for sample, rows in zip(tau, stack):
+                assert sample.tobytes() == kendall_tau_b_matrix(rows).tobytes()
+
+    def test_tau_b_stack_is_blocked(self, stacks, monkeypatch):
+        # Smaller blocks split the census-n7 stack into every vertex on its
+        # own; the exact integer Gram sums do not move.
+        stack = stacks[1]
+        whole = kendall_tau_b_matrix(stack)
+        monkeypatch.setattr(stats, "_TAU_SIGNS", 1)
+        assert kendall_tau_b_matrix(stack).tobytes() == whole.tobytes()
+
+    def test_distinct_counts_stack_matches_per_sample(self, stacks):
+        for stack in stacks:
+            s, k, n = stack.shape
+            counts = distinct_counts(stack.reshape(-1, n)).reshape(s, k)
+            for sample, rows in zip(counts, stack):
+                assert sample.tolist() == distinct_counts(rows).tolist()
 
 
 def _nudge(value, steps):
