@@ -18,34 +18,27 @@ Every measure maps a :class:`~graphbench.graphs.Graph` to a
   unit current is injected across each vertex pair, endpoint pairs
   contributing exactly 1.
 
-``eigenvector`` and ``subgraph`` have one kernel each over a stack of
-graphs on one vertex count (:data:`STACK_KERNELS`), which the harness
-calls once per census cell; the per-graph functions are its stack of one.
+Each measure is a kernel over a stack of graphs on one vertex count
+(:data:`_TABLE`): eigenvector and subgraph take the whole stack in one
+call, the other six run per graph. :func:`measure_stack` checks a stack
+once; :func:`compute_measure` and the eight per-graph functions are its
+stack of one.
 
-Measures that are undefined on disconnected input (all but ``degree``,
-``eigenvector`` and ``subgraph``) raise :class:`DisconnectedGraphError`
-rather than computing per-component values.
+``betweenness``, ``closeness``, ``eccentricity``, ``eigenvector``,
+``information`` and ``walk_betweenness`` raise
+:class:`DisconnectedGraphError` on disconnected input rather than
+computing per-component values; ``degree`` and ``subgraph`` score any graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .graphs import Graph, bfs_all_pairs, is_connected
 from .linalg import invert, sym_eigen
-
-MEASURES = (
-    "betweenness",
-    "closeness",
-    "degree",
-    "eccentricity",
-    "eigenvector",
-    "information",
-    "subgraph",
-    "walk_betweenness",
-)
 
 SHORT_LABELS = {
     "betweenness": "C_b",
@@ -75,17 +68,14 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class CentralityVector:
-    """Per-vertex scores of one named measure, index-aligned with the graph."""
+    """Per-vertex scores of one named measure, index-aligned with the graph;
+    built by :func:`compute_measure` from scores it has checked."""
 
     measure: str
     values: np.ndarray
 
     def __post_init__(self):
-        if self.measure not in MEASURES:
-            raise ValueError(f"unknown measure {self.measure!r}")
-        values = _checked(self.measure, self.values)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        self.values.flags.writeable = False
 
     def __len__(self):
         return len(self.values)
@@ -112,39 +102,19 @@ def _checked(measure: str, values) -> np.ndarray:
     return values
 
 
-def _adjacency_stack(graphs) -> np.ndarray:
-    """The ``(k, n, n)`` adjacency matrices of graphs on one vertex count."""
-    if len({g.n for g in graphs}) != 1:
-        raise ValueError("a stack needs at least one graph, all on one vertex count")
-    return np.stack([g.adjacency_matrix for g in graphs])
+def _degree(g: Graph) -> np.ndarray:
+    return g.degrees.astype(float)
 
 
-def _require_connected(g: Graph, measure: str) -> None:
-    if not is_connected(g):
-        raise DisconnectedGraphError(f"{measure} requires a connected graph")
+def _closeness(g: Graph) -> np.ndarray:
+    return 1.0 / bfs_all_pairs(g).dist.sum(axis=0)
 
 
-def degree(g: Graph) -> CentralityVector:
-    return CentralityVector("degree", g.degrees.astype(float))
+def _eccentricity(g: Graph) -> np.ndarray:
+    return 1.0 / bfs_all_pairs(g).dist.max(axis=0)
 
 
-def closeness(g: Graph) -> CentralityVector:
-    _require_connected(g, "closeness")
-    if g.n < 2:
-        raise ValueError("closeness is undefined for a single vertex")
-    dist = bfs_all_pairs(g).dist
-    return CentralityVector("closeness", 1.0 / dist.sum(axis=0))
-
-
-def eccentricity(g: Graph) -> CentralityVector:
-    _require_connected(g, "eccentricity")
-    if g.n < 2:
-        raise ValueError("eccentricity is undefined for a single vertex")
-    dist = bfs_all_pairs(g).dist
-    return CentralityVector("eccentricity", 1.0 / dist.max(axis=0))
-
-
-def betweenness(g: Graph) -> CentralityVector:
+def _betweenness(g: Graph) -> np.ndarray:
     """Geodesic betweenness by level-wise dependency accumulation.
 
     All sources are processed at once: dependencies flow one BFS level at
@@ -156,10 +126,9 @@ def betweenness(g: Graph) -> CentralityVector:
     sparse product needs no transpose copies: ``dist`` and ``sigma`` are
     symmetric, and only the product and the final sum change sides.
     """
-    _require_connected(g, "betweenness")
     n = g.n
     if n <= 2:
-        return CentralityVector("betweenness", np.zeros(n))
+        return np.zeros(n)
     op = g.adjacency_operator
     by_column = not isinstance(op, np.ndarray)
     geo = bfs_all_pairs(g)
@@ -178,7 +147,7 @@ def betweenness(g: Graph) -> CentralityVector:
         delta[below] = sigma[below] * spread.take(below)
     # Each unordered pair is seen from both endpoints as a source.
     per_vertex = delta.reshape(n, n).sum(axis=int(by_column))
-    return CentralityVector("betweenness", per_vertex / 2.0)
+    return per_vertex / 2.0
 
 
 def power_iteration(
@@ -197,7 +166,7 @@ def power_iteration(
     iterate, iteration count and last delta are bit for bit those of a
     stack of one. The buffers are reused until a graph leaves.
     """
-    m = _adjacency_stack(graphs)
+    m = np.stack([g.adjacency_matrix for g in graphs])
     k, n, _ = m.shape
     m += np.eye(n)
     v = np.full((k, n, 1), 1.0 / n)
@@ -227,19 +196,11 @@ def power_iteration(
     )
 
 
-def eigenvector_scores(graphs) -> np.ndarray:
-    """Eigenvector centrality of each graph of a stack on one vertex count,
-    one row per graph: the converged power-iteration iterate divided by its
-    largest entry."""
-    for g in graphs:
-        _require_connected(g, "eigenvector")
+def _eigenvector(graphs) -> np.ndarray:
+    """Eigenvector centrality of each graph of a stack, one row per graph:
+    the converged power-iteration iterate divided by its largest entry."""
     v = power_iteration(graphs).iterate
-    return _checked("eigenvector", v / v.max(axis=1, keepdims=True))
-
-
-def eigenvector(g: Graph) -> CentralityVector:
-    """:func:`eigenvector_scores` of the stack of one."""
-    return CentralityVector("eigenvector", eigenvector_scores([g])[0])
+    return v / v.max(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -264,37 +225,26 @@ def information_intermediate(g: Graph) -> InformationIntermediate:
     return InformationIntermediate(b=b, t=float(np.trace(b)), r=float(row_sums[0]))
 
 
-def information(g: Graph) -> CentralityVector:
+def _information(g: Graph) -> np.ndarray:
     """Stephenson-Zelen information centrality.
 
     With ``B = (D - A + U)^-1``, ``T`` its trace and ``R`` its common row
     sum, vertex k scores ``1 / (B[k,k] + (T - 2R)/n)``.
     """
-    _require_connected(g, "information")
-    n = g.n
-    if n < 2:
-        raise ValueError("information centrality is undefined for a single vertex")
     inter = information_intermediate(g)
-    return CentralityVector(
-        "information", 1.0 / (np.diag(inter.b) + (inter.t - 2.0 * inter.r) / n)
-    )
+    return 1.0 / (np.diag(inter.b) + (inter.t - 2.0 * inter.r) / g.n)
 
 
-def subgraph_scores(graphs) -> np.ndarray:
-    """Subgraph centrality of each graph of a stack on one vertex count,
-    one row per graph: the diagonal of ``expm(A)`` from one stacked
-    eigendecomposition. Each matrix gets the ``eigh`` and the gemv it
-    would get alone, so every row is bit for bit that of a stack of one."""
-    lam, vecs = sym_eigen(_adjacency_stack(graphs))
-    return _checked("subgraph", np.matmul(vecs * vecs, np.exp(lam)[..., None])[..., 0])
+def _subgraph(graphs) -> np.ndarray:
+    """Subgraph centrality of each graph of a stack, one row per graph: the
+    diagonal of ``expm(A)`` from one stacked eigendecomposition. Each
+    matrix gets the ``eigh`` and the gemv it would get alone, so every row
+    is bit for bit that of a stack of one."""
+    lam, vecs = sym_eigen(np.stack([g.adjacency_matrix for g in graphs]))
+    return np.matmul(vecs * vecs, np.exp(lam)[..., None])[..., 0]
 
 
-def subgraph(g: Graph) -> CentralityVector:
-    """:func:`subgraph_scores` of the stack of one."""
-    return CentralityVector("subgraph", subgraph_scores([g])[0])
-
-
-def walk_betweenness(g: Graph) -> CentralityVector:
+def _walk_betweenness(g: Graph) -> np.ndarray:
     """Current-flow (random-walk) betweenness.
 
     For source-target pair (i, j), the current on edge (k, t) is
@@ -313,10 +263,7 @@ def walk_betweenness(g: Graph) -> CentralityVector:
     endpoint: a product per block would round differently when a block
     holds a single row.
     """
-    _require_connected(g, "walk_betweenness")
     n = g.n
-    if n < 2:
-        raise ValueError("walk betweenness is undefined for a single vertex")
     # Inverse of the Laplacian grounded at the last vertex: its last row
     # and column are removed before inversion and padded back as zeros.
     lap = np.diag(g.degrees.astype(float)) - g.adjacency_matrix
@@ -353,32 +300,91 @@ def walk_betweenness(g: Graph) -> CentralityVector:
         total = ordered[: len(chunk)] @ rank_weights
         np.add.at(acc, u, total - pairs_u)
         np.add.at(acc, v, total - pairs_v)
-    return CentralityVector("walk_betweenness", 0.5 * acc + (n - 1))
+    return 0.5 * acc + (n - 1)
 
 
-_MEASURE_FUNCS = {
-    "betweenness": betweenness,
-    "closeness": closeness,
-    "degree": degree,
-    "eccentricity": eccentricity,
-    "eigenvector": eigenvector,
-    "information": information,
-    "subgraph": subgraph,
-    "walk_betweenness": walk_betweenness,
+class _Measure(NamedTuple):
+    """A :data:`_TABLE` entry: the kernel, ``(graphs) -> (k, n)`` scores,
+    whether the measure needs a connected graph, and the smallest vertex
+    count it is defined on."""
+
+    kernel: Callable[[list], np.ndarray]
+    connected: bool
+    min_n: int
+
+
+def _per_graph(func) -> Callable[[list], np.ndarray]:
+    """The stack kernel of a one-graph function: its rows, stacked."""
+    return lambda graphs: np.stack([func(g) for g in graphs])
+
+
+_TABLE = {
+    "betweenness": _Measure(_per_graph(_betweenness), connected=True, min_n=1),
+    "closeness": _Measure(_per_graph(_closeness), connected=True, min_n=2),
+    "degree": _Measure(_per_graph(_degree), connected=False, min_n=1),
+    "eccentricity": _Measure(_per_graph(_eccentricity), connected=True, min_n=2),
+    "eigenvector": _Measure(_eigenvector, connected=True, min_n=1),
+    "information": _Measure(_per_graph(_information), connected=True, min_n=2),
+    "subgraph": _Measure(_subgraph, connected=False, min_n=1),
+    "walk_betweenness": _Measure(_per_graph(_walk_betweenness), connected=True, min_n=2),
 }
+MEASURES = tuple(_TABLE)  # in name order
 
 
-# The measures computed for a whole stack of graphs on one vertex count in
-# one call: name -> kernel(graphs), which returns one row of scores per graph.
-STACK_KERNELS = {"eigenvector": eigenvector_scores, "subgraph": subgraph_scores}
+def measure_stack(graphs, measure: str) -> np.ndarray:
+    """The ``(k, n)`` scores of ``measure`` for k graphs on one vertex count,
+    each row bit for bit that of its stack of one. Every check runs once
+    per stack: one vertex count, connectivity where the measure needs it,
+    enough vertices, and finite, non-negative scores."""
+    try:
+        spec = _TABLE[measure]
+    except KeyError:
+        raise ValueError(f"unknown measure {measure!r}") from None
+    sizes = {g.n for g in graphs}
+    if len(sizes) != 1:
+        raise ValueError("a stack needs at least one graph, all on one vertex count")
+    if spec.connected and not all(is_connected(g) for g in graphs):
+        raise DisconnectedGraphError(f"{measure} requires a connected graph")
+    if sizes.pop() < spec.min_n:
+        raise ValueError(f"{measure} is undefined for a single vertex")
+    return _checked(measure, spec.kernel(graphs))
 
 
 def compute_measure(g: Graph, measure: str) -> CentralityVector:
-    try:
-        func = _MEASURE_FUNCS[measure]
-    except KeyError:
-        raise ValueError(f"unknown measure {measure!r}") from None
-    return func(g)
+    """:func:`measure_stack` of the stack of one."""
+    return CentralityVector(measure, measure_stack([g], measure)[0])
+
+
+def betweenness(g: Graph) -> CentralityVector:
+    return compute_measure(g, "betweenness")
+
+
+def closeness(g: Graph) -> CentralityVector:
+    return compute_measure(g, "closeness")
+
+
+def degree(g: Graph) -> CentralityVector:
+    return compute_measure(g, "degree")
+
+
+def eccentricity(g: Graph) -> CentralityVector:
+    return compute_measure(g, "eccentricity")
+
+
+def eigenvector(g: Graph) -> CentralityVector:
+    return compute_measure(g, "eigenvector")
+
+
+def information(g: Graph) -> CentralityVector:
+    return compute_measure(g, "information")
+
+
+def subgraph(g: Graph) -> CentralityVector:
+    return compute_measure(g, "subgraph")
+
+
+def walk_betweenness(g: Graph) -> CentralityVector:
+    return compute_measure(g, "walk_betweenness")
 
 
 def all_measures(g: Graph, measures=MEASURES) -> dict[str, CentralityVector]:

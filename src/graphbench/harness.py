@@ -17,8 +17,9 @@ keyed ``"a|b"`` by :func:`_pair`, to one tau-b value.
 :func:`write_all_tables` is the only path from samples to the roll-up
 CSVs, and every mean with a CI in them goes through :func:`_mean_cells`.
 
-The unit of work is a stack: a census cell's samples, measured together,
-or one sample drawn from its model (see :func:`_run_stack`).
+The unit of work is a stack: a census cell's samples, or one sample drawn
+from its model. Every measure and statistic runs once per stack, on one
+path for both kinds (see :func:`_run_stack`).
 
 Execution is deterministic: every sample's seed is derived from the base
 seed and the sample's (model, cell, sample) coordinates, samples are
@@ -45,7 +46,8 @@ from time import perf_counter
 import numpy as np
 
 from . import stats
-from .centrality import MEASURES, SHORT_LABELS, STACK_KERNELS, compute_measure
+from .centrality import MEASURES, SHORT_LABELS, measure_stack
+from .centrality import compute_measure  # perfbench/tracing.py wraps it here
 from .generators import (
     DEFAULT_MAX_RETRIES,
     MODEL_IDS,
@@ -244,6 +246,8 @@ def _expand_model_entry(entry: dict, initiators) -> list[tuple[str, int, tuple]]
             named.update(initiator=initiators[name].p, initiator_name=name,
                          n=_generator_rule(kronecker_size, named["k"]))
         n = _generator_rule(check_size, model, named.pop("n"))
+        if n < 2:  # no tau-b on one vertex, and four measures are undefined there
+            raise ConfigError(f"model '{model}' needs n >= 2 in an experiment, got {n}")
         if model == "cs":
             divisor = _whole(named.pop("c_div"), "model 'cs' parameter 'c_div'")
             if divisor < 1:
@@ -348,12 +352,10 @@ def _run_stack(stack, *, metrics, max_retries: int, keep_vectors: bool) -> list[
     A stack is ``(records, graphs)``: every sample of a census cell with
     the graphs the census built, or one sample drawn from its model, whose
     ``graphs`` is None until its connected network is drawn. Each measure
-    of :data:`STACK_KERNELS` runs once for the stack, and its error is
-    recorded on every sample still being measured; its ``timings`` entry is
-    the call's time divided by the number of graphs it measured. Every
-    other measure runs per graph through :func:`compute_measure`, and its
-    error is recorded on that sample alone. The statistics then run once
-    over the samples whose measures all succeeded."""
+    runs once for the stack through :func:`~graphbench.centrality.measure_stack`,
+    and its ``timings`` entry is the call's time divided by the stack size;
+    the statistics then run once over the stack's scores. An error in any
+    measure or statistic is recorded on every sample of the stack."""
     results, graphs = stack
     if graphs is None:
         (result,) = results
@@ -368,47 +370,29 @@ def _run_stack(stack, *, metrics, max_retries: int, keep_vectors: bool) -> list[
         graphs = [g]
     n = graphs[0].n
     scores = np.empty((len(results), len(metrics), n))
-    for j, m in enumerate(metrics):
-        live = [i for i, r in enumerate(results) if r.error is None]
-        if not live:
-            break
-        kernel = STACK_KERNELS.get(m)
-        for group in [live] if kernel else [[i] for i in live]:
-            t0 = perf_counter()
-            try:
-                if kernel:
-                    scores[group, j] = kernel([graphs[i] for i in group])
-                else:
-                    scores[group, j] = compute_measure(graphs[group[0]], m).values
-            except Exception as exc:
-                for i in group:
-                    results[i].error = _error_text(exc)
-                continue
-            share = (perf_counter() - t0) / len(group)
-            for i in group:
-                results[i].timings[m] = share
-    measured = [i for i, r in enumerate(results) if r.error is None]
-    if not measured:
-        return results
-    ok = scores[measured]
     try:
-        counts = stats.distinct_counts(ok.reshape(-1, n)).reshape(len(measured), -1)
-        for i, row in zip(measured, counts.tolist()):
-            for m, count in zip(metrics, row):
-                results[i].distinct_counts[m] = count
-                results[i].granularity[m] = 100.0 * count / n
-        tau = stats.kendall_tau_b_matrix(ok)
+        for j, m in enumerate(metrics):
+            t0 = perf_counter()
+            scores[:, j] = measure_stack(graphs, m)
+            share = (perf_counter() - t0) / len(results)
+            for result in results:
+                result.timings[m] = share
+        counts = stats.distinct_counts(scores.reshape(-1, n)).reshape(len(results), -1)
+        tau = stats.kendall_tau_b_matrix(scores)
     except Exception as exc:
-        for i in measured:
-            results[i].error = _error_text(exc)
+        for result in results:
+            result.error = _error_text(exc)
         return results
     pairs = [(_pair(a, b), ia, ib)
              for (ia, a), (ib, b) in itertools.combinations(enumerate(metrics), 2)]
-    for i, sample_tau, sample_scores in zip(measured, tau, ok):
+    for result, row, sample_tau, sample_scores in zip(results, counts.tolist(), tau, scores):
+        for m, count in zip(metrics, row):
+            result.distinct_counts[m] = count
+            result.granularity[m] = 100.0 * count / n
         for key, ia, ib in pairs:
-            results[i].tau[key] = float(sample_tau[ia, ib])
+            result.tau[key] = float(sample_tau[ia, ib])
         if keep_vectors:
-            results[i].vectors = dict(zip(metrics, sample_scores.tolist()))
+            result.vectors = dict(zip(metrics, sample_scores.tolist()))
     return results
 
 
@@ -473,8 +457,8 @@ def run_experiment(
     """Execute the plan and persist samples, manifest, and roll-up tables.
 
     The unit of work is a stack (see :func:`_run_stack`): each census cell
-    is one, and each sample drawn from a model is one. Stacks are
-    independent; they run in a spawned process pool of
+    is one, and each sample drawn from a model is one, measured on the
+    same path. Stacks are independent; they run in a spawned process pool of
     ``min(workers, os.cpu_count(), stacks)`` processes, or in this
     process when that is 1. Aggregation follows canonical sample order, so
     outputs do not depend on scheduling or the worker count. Sample

@@ -38,10 +38,10 @@ from graphbench import (
 )
 from graphbench.centrality import (
     MEASURES,
-    eigenvector_scores,
+    compute_measure,
     information_intermediate,
+    measure_stack,
     power_iteration,
-    subgraph_scores,
 )
 
 P3 = Graph(3, [(0, 1), (1, 2)])
@@ -217,8 +217,8 @@ class TestSubgraph:
 
 
 class TestStacks:
-    """eigenvector and subgraph take a stack of graphs on one vertex count
-    in one call; each graph's result is bit for bit its stack of one."""
+    """Every measure takes a stack of graphs on one vertex count in one
+    call; each graph's result is bit for bit its stack of one."""
 
     def test_power_iteration_stack_matches_stack_of_one(self, corpus6, corpus7):
         for corpus in (corpus6, corpus7):
@@ -234,22 +234,28 @@ class TestStacks:
 
     def test_scores_stack_matches_stack_of_one(self, corpus6, corpus7):
         for corpus in (corpus6, corpus7):
-            for kernel, measure in ((eigenvector_scores, eigenvector),
-                                    (subgraph_scores, subgraph)):
-                rows = kernel(corpus)
+            for m in MEASURES:
+                rows = measure_stack(corpus, m)
+                assert rows.shape == (len(corpus), corpus[0].n)
                 for row, g in zip(rows, corpus):
-                    assert row.tobytes() == measure(g).values.tobytes()
+                    assert row.tobytes() == compute_measure(g, m).values.tobytes(), m
 
     def test_stack_needs_one_vertex_count(self):
-        for kernel in (power_iteration, eigenvector_scores, subgraph_scores):
+        for m in MEASURES:
             with pytest.raises(ValueError, match="one vertex count"):
-                kernel([P3, P4])
+                measure_stack([P3, P4], m)
             with pytest.raises(ValueError, match="one vertex count"):
-                kernel([])
+                measure_stack([], m)
 
     def test_disconnected_graph_fails_the_stack(self):
-        with pytest.raises(DisconnectedGraphError):
-            eigenvector_scores([P3, Graph(3, [(0, 1)])])
+        for m in ("betweenness", "closeness", "eccentricity", "eigenvector",
+                  "information", "walk_betweenness"):
+            with pytest.raises(DisconnectedGraphError, match=m):
+                measure_stack([P3, Graph(3, [(0, 1)])], m)
+
+    def test_unknown_measure_rejected(self):
+        with pytest.raises(ValueError, match="unknown measure 'pagerank'"):
+            measure_stack([P3], "pagerank")
 
     def test_stack_of_one_matches_pinned_hashes(self):
         # sha256 of the score bytes from the per-graph forms these kernels
@@ -423,9 +429,25 @@ class TestInvariants:
 
     def test_measures_reject_disconnected(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        for func in (closeness, eccentricity, betweenness, information, walk_betweenness):
+        for func in (closeness, eccentricity, betweenness, eigenvector, information,
+                     walk_betweenness):
             with pytest.raises(DisconnectedGraphError):
                 func(g)
+        assert np.array_equal(degree(g).values, [1, 1, 1, 1])
+        assert np.allclose(subgraph(g).values, np.cosh(1.0), rtol=1e-12, atol=0.0)
+
+    def test_single_vertex_rule(self):
+        g = Graph(1)
+        for func in (closeness, eccentricity, information, walk_betweenness):
+            with pytest.raises(ValueError, match="undefined for a single vertex"):
+                func(g)
+        for func, expected in ((betweenness, 0.0), (degree, 0.0), (eigenvector, 1.0),
+                               (subgraph, 1.0)):
+            assert func(g).values.tolist() == [expected]
+
+    def test_vectors_read_only(self):
+        for name, vec in all_measures(P4).items():
+            assert not vec.values.flags.writeable, name
 
 
 class TestCsv:

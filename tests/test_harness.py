@@ -18,7 +18,7 @@ from graphbench import (
     run_experiment,
     write_all_tables,
 )
-from graphbench import cli, harness
+from graphbench import centrality, cli, harness
 from graphbench.cli import main as cli_main
 from graphbench.generators import KroneckerInitiator, ModelConfig, kronecker
 from graphbench.graphs import Graph, format_edge_list
@@ -35,8 +35,18 @@ OUT_OF_RANGE = [
     ({"model": "gr", "n": [10], "kappa": [1.5]},
      "geographical model needs a square vertex count, got 10"),
     ({"model": "er", "n": [10], "p": ["x"]}, "model 'er' parameter 'p' must be a number, got 'x'"),
+    # No sample on one vertex can be measured: four measures and tau-b
+    # are undefined there.
+    ({"model": "er", "n": [1], "p": [0.5]}, "model 'er' needs n >= 2 in an experiment, got 1"),
+    ({"model": "gr", "n": [1], "kappa": [1.5]},
+     "model 'gr' needs n >= 2 in an experiment, got 1"),
+    ({"model": "sw", "n": [1], "k": [0], "p": [0.1]},
+     "model 'sw' needs n >= 2 in an experiment, got 1"),
+    ({"model": "cs", "n": [1], "p_c": [0.5], "p": [0.5], "c_div": [1]},
+     "model 'cs' needs n >= 2 in an experiment, got 1"),
 ]
-OUT_OF_RANGE_IDS = ["er_p", "sf_k", "sw_odd_k", "gr_n", "er_p_text"]
+OUT_OF_RANGE_IDS = ["er_p", "sf_k", "sw_odd_k", "gr_n", "er_p_text",
+                    "er_n1", "gr_n1", "sw_n1", "cs_n1"]
 
 # Probabilities and kappa are ints or floats: a string or a boolean is
 # rejected, never coerced.
@@ -99,6 +109,7 @@ class TestPlanning:
 
     @pytest.mark.parametrize("n, message", [
         (0, "model 'nonisomorphic' parameter 'n' must be a whole number >= 1, got 0"),
+        (1, "model 'nonisomorphic' needs n >= 2 in an experiment, got 1"),
         (8, "census supports 1 <= n <= 7, got 8"),
     ])
     def test_census_size_rule(self, n, message):
@@ -351,54 +362,41 @@ class TestRun:
         manifest = (tmp_path / "out" / "manifest.json").read_text()
         assert manifest == json.dumps(json.loads(manifest), indent=2, sort_keys=True) + "\n"
 
-    def test_failing_stack_kernel_fails_its_stack(self, tmp_path, monkeypatch):
+    # subgraph's kernel fails for the whole stack in one call. closeness
+    # runs a one-graph body per graph, which here fails only on graphs with
+    # more edges than vertices; each stack below holds one, and a failure
+    # on that graph alone fails every sample of its stack.
+    @pytest.mark.parametrize("measure", ["subgraph", "closeness"])
+    def test_failing_stack_kernel_fails_its_stack(self, tmp_path, monkeypatch, measure):
         def broken(graphs):
-            raise ArithmeticError("no spectrum")
+            raise ArithmeticError("no scores")
 
-        monkeypatch.setitem(harness.STACK_KERNELS, "subgraph", broken)
+        def broken_on_dense(g):
+            if g.m > g.n:
+                raise ArithmeticError("no scores")
+            return np.ones(g.n)
+
+        if measure == "closeness":
+            broken = centrality._per_graph(broken_on_dense)
+        spec = centrality._TABLE[measure]._replace(kernel=broken)
+        monkeypatch.setitem(centrality._TABLE, measure, spec)
         config = _tiny_config(tmp_path / "out", samples_per_cell=1,
                               models=[{"model": "nonisomorphic", "n": [4, 5]},
                                       {"model": "er", "n": [30], "p": [0.3]}])
         results = run_experiment(plan_experiments(config))
         assert len(results) == 6 + 21 + 1
+        before = list(harness.MEASURES[:harness.MEASURES.index(measure)])
         for r in results:
-            assert r.error == "ArithmeticError: no spectrum"
+            assert r.error == "ArithmeticError: no scores"
             assert r.tau == {} and r.distinct_counts == {}
-            # Measures before subgraph in the plan's order were timed.
-            assert list(r.timings) == ["betweenness", "closeness", "degree",
-                                       "eccentricity", "eigenvector", "information"]
-
-    def test_failing_graph_measure_fails_its_sample_only(self, tmp_path, monkeypatch):
-        config = _tiny_config(tmp_path / "a", models=[{"model": "nonisomorphic", "n": [5]}])
-        clean = run_experiment(plan_experiments(config))
-        census = harness.enumerate_connected_nonisomorphic(5)
-        doomed = census[7].edges.tobytes()
-        measure = harness.compute_measure
-
-        def failing(g, m):
-            if m == "closeness" and g.edges.tobytes() == doomed:
-                raise ArithmeticError("closeness broke")
-            return measure(g, m)
-
-        monkeypatch.setattr(harness, "compute_measure", failing)
-        config["output_dir"] = str(tmp_path / "b")
-        results = run_experiment(plan_experiments(config))
-        assert [r.error for r in results] == (
-            [None] * 7 + ["ArithmeticError: closeness broke"] + [None] * 13)
-        assert list(results[7].timings) == ["betweenness"]
-        assert results[7].tau == {} and results[7].distinct_counts == {}
-        # The stack's statistics run without the failed sample, and the
-        # others read as in the clean run.
-        for r, c in zip(results, clean):
-            if r.error is None:
-                assert {**r.to_dict(), "timings": None} == {**c.to_dict(), "timings": None}
+            # Measures before the failing one in the plan's order were timed.
+            assert list(r.timings) == before
 
     def test_stacked_timings_share_the_call(self, tmp_path):
         config = _tiny_config(tmp_path / "out", models=[{"model": "nonisomorphic", "n": [5]}])
         results = run_experiment(plan_experiments(config))
-        for m in harness.STACK_KERNELS:
-            assert len({r.timings[m] for r in results}) == 1
-        assert len({r.timings["closeness"] for r in results}) > 1
+        for m in harness.MEASURES:
+            assert len({r.timings[m] for r in results}) == 1, m
 
     def test_failed_cell_recorded_and_run_continues(self, tmp_path):
         config = {
