@@ -150,13 +150,10 @@ def _betweenness(g: Graph) -> np.ndarray:
     return per_vertex / 2.0
 
 
-def power_iteration(
-    graphs,
-    tol: float = POWER_ITERATION_TOL,
-    max_iterations: int = POWER_ITERATION_CAP,
-) -> PowerIterationState:
+def power_iteration(graphs) -> PowerIterationState:
     """Iterate ``v <- (A + I) v`` with sum-normalization from all-ones, for
-    each graph of a stack on one vertex count.
+    each graph of a stack on one vertex count, until a step moves no entry
+    by ``POWER_ITERATION_TOL``; ``POWER_ITERATION_CAP`` iterations at most.
 
     The unit diagonal makes the iteration aperiodic, so it converges on
     every connected graph, including bipartite ones. One ``np.matmul``
@@ -174,14 +171,14 @@ def power_iteration(
     iterate, last_delta = np.empty((k, n)), np.empty(k)
     iterations = np.zeros(k, dtype=int)
     rows = np.arange(k)  # stack position of each graph still iterating
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, POWER_ITERATION_CAP + 1):
         np.matmul(m, v, out=w)
         w /= w.sum(axis=1, keepdims=True)
         np.subtract(w, v, out=diff)
         np.abs(diff, out=diff)
         delta = diff.max(axis=1)[:, 0]
         v, w = w, v
-        done = delta < tol
+        done = delta < POWER_ITERATION_TOL
         if done.any():
             iterate[rows[done]] = v[done, :, 0]
             iterations[rows[done]] = iteration
@@ -192,7 +189,8 @@ def power_iteration(
             rows, m, v = rows[going], m[going], v[going]
             w, diff = np.empty_like(v), np.empty_like(v)
     raise ConvergenceError(
-        f"power iteration did not reach {tol:g} within {max_iterations} iterations"
+        f"power iteration did not reach {POWER_ITERATION_TOL:g} "
+        f"within {POWER_ITERATION_CAP} iterations"
     )
 
 
@@ -203,36 +201,19 @@ def _eigenvector(graphs) -> np.ndarray:
     return v / v.max(axis=1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class InformationIntermediate:
-    """The matrix behind information centrality: ``B = (D - A + U)^-1``
-    with its trace ``t`` and common row sum ``r`` (every row of B sums to
-    ``1/n`` on a connected graph)."""
-
-    b: np.ndarray
-    t: float
-    r: float
-
-
-def information_intermediate(g: Graph) -> InformationIntermediate:
-    n = g.n
-    a = g.adjacency_matrix
-    b = invert(np.diag(g.degrees.astype(float)) - a + np.ones((n, n)))
-    row_sums = b.sum(axis=1)
-    if np.max(np.abs(row_sums - row_sums[0])) > _ROW_SUM_TOL:
-        raise ArithmeticError("row sums of (D - A + U)^-1 are not constant")
-    b.flags.writeable = False
-    return InformationIntermediate(b=b, t=float(np.trace(b)), r=float(row_sums[0]))
-
-
 def _information(g: Graph) -> np.ndarray:
     """Stephenson-Zelen information centrality.
 
     With ``B = (D - A + U)^-1``, ``T`` its trace and ``R`` its common row
-    sum, vertex k scores ``1 / (B[k,k] + (T - 2R)/n)``.
+    sum (every row of B sums to ``1/n`` on a connected graph), vertex k
+    scores ``1 / (B[k,k] + (T - 2R)/n)``.
     """
-    inter = information_intermediate(g)
-    return 1.0 / (np.diag(inter.b) + (inter.t - 2.0 * inter.r) / g.n)
+    n = g.n
+    b = invert(np.diag(g.degrees.astype(float)) - g.adjacency_matrix + np.ones((n, n)))
+    row_sums = b.sum(axis=1)
+    if np.max(np.abs(row_sums - row_sums[0])) > _ROW_SUM_TOL:
+        raise ArithmeticError("row sums of (D - A + U)^-1 are not constant")
+    return 1.0 / (np.diag(b) + (float(np.trace(b)) - 2.0 * float(row_sums[0])) / n)
 
 
 def _subgraph(graphs) -> np.ndarray:
@@ -387,9 +368,9 @@ def walk_betweenness(g: Graph) -> CentralityVector:
     return compute_measure(g, "walk_betweenness")
 
 
-def all_measures(g: Graph, measures=MEASURES) -> dict[str, CentralityVector]:
-    """Compute the requested measures, keyed by name."""
-    return {name: compute_measure(g, name) for name in measures}
+def all_measures(g: Graph) -> dict[str, CentralityVector]:
+    """All eight measures of ``g``, keyed by name in :data:`MEASURES` order."""
+    return {name: compute_measure(g, name) for name in MEASURES}
 
 
 def centrality_csv(vectors: dict[str, CentralityVector]) -> str:

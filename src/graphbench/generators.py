@@ -423,14 +423,12 @@ def enumerate_connected_nonisomorphic(n: int) -> list[Graph]:
     float32 table ``image`` holds, at each pair, the code weight of that
     pair's image under vertex permutation p. Codes have ``n(n-1)/2 <= 21``
     bits, so every partial sum is an integer below 2**24 and the float32
-    product is exact in any summation order. Connectivity is a class
-    property, so it is decided once for all representatives by repeated
-    squaring of their boolean ``A + I``, and only the connected ones become
-    graphs, in ascending canonical order.
+    product is exact in any summation order. Every representative becomes
+    a graph, and those whose :attr:`Graph.connected` holds are kept in
+    ascending canonical order, each carrying its cached connectivity to
+    the measures' guard.
     """
     expected = census_count(n)
-    if n == 1:
-        return [Graph(1)]
     pairs = _graph6_pairs(n)
     i, j = pairs.T
     shifts = np.arange(i.size - 1, -1, -1)
@@ -449,11 +447,7 @@ def enumerate_connected_nonisomorphic(n: int) -> list[Graph]:
         codes.append(code)
         alive[(image @ ((code >> shifts) & 1).astype(np.float32)).astype(np.int64)] = False
     bits = (np.array(codes)[:, None] >> shifts) & 1 == 1
-    reach = np.broadcast_to(np.eye(n, dtype=bool), (len(codes), n, n)).copy()
-    reach[:, i, j] = reach[:, j, i] = bits
-    for _ in range((n - 2).bit_length()):  # (A + I)**(2**s) spans paths of length n - 1
-        reach = reach @ reach
-    reps = [Graph(n, pairs[b]) for b in bits[reach[:, 0].all(axis=1)]]
+    reps = [g for g in (Graph(n, pairs[b]) for b in bits) if g.connected]
     if len(reps) != expected:
         raise AssertionError(
             f"census found {len(reps)} classes on {n} vertices, expected {expected}"

@@ -4,10 +4,10 @@ Vertices are dense integers ``0..n-1``. A :class:`Graph` is immutable once
 built, so instances can be shared freely between threads or worker
 processes. It holds its edge set once, as a sorted read-only ``(m, 2)``
 int64 array; degrees, adjacency matrix, connectivity and the all-pairs
-geodesics are computed from it on first use and cached, so the generators'
-retry check and the measures' connectivity guards share one BFS, and
-closeness, eccentricity and betweenness share one all-sources BFS. Two text
-formats are supported:
+geodesics are computed from it on first use and cached, so the census, the
+generators' retry check and the measures' connectivity guards share one
+BFS, and closeness, eccentricity and betweenness share one all-sources
+BFS. Two text formats are supported:
 
 * edge lists -- one ``"u v"`` line per edge, smaller index first, with an
   optional ``# n=<count>`` first line that preserves isolated vertices;
@@ -232,24 +232,22 @@ def is_connected(g: Graph) -> bool:
     return g.connected
 
 
-def parse_edge_list(text: str, n_hint: int | None = None) -> Graph:
+def parse_edge_list(text: str) -> Graph:
     """Parse a ``"u v"``-per-line edge list into a Graph.
 
-    The vertex count is ``n_hint`` when given, else the value of a
-    ``# n=<count>`` first-line header, else ``1 + max index``. Self-loops,
-    duplicate edges, and malformed tokens are rejected with the offending
-    line number.
+    The vertex count is the value of a ``# n=<count>`` first-line header,
+    else ``1 + max index``. Self-loops, duplicate edges, and malformed
+    tokens are rejected with the offending line number.
     """
     lines = text.splitlines()
     start = 0
-    header_n = None
+    n = None
     if lines and lines[0].lstrip().startswith("#"):
         match = _HEADER_RE.match(lines[0].strip())
         if not match:
             raise FormatError("line 1: unrecognized header (expected '# n=<count>')")
-        header_n = int(match.group(1))
+        n = int(match.group(1))
         start = 1
-    n = int(n_hint) if n_hint is not None else header_n
 
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -278,7 +276,7 @@ def parse_edge_list(text: str, n_hint: int | None = None) -> Graph:
 
     if n is None:
         if max_idx < 0:
-            raise FormatError("empty edge list and no vertex-count header or hint")
+            raise FormatError("empty edge list and no vertex-count header")
         n = max_idx + 1
     if max_idx >= n:
         raise FormatError(f"vertex index {max_idx} out of range for n={n}")

@@ -464,8 +464,11 @@ def run_experiment(
     outputs do not depend on scheduling or the worker count. Sample
     records, roll-up tables and the heatmap an earlier run left in
     ``output_dir`` are removed, so the directory holds this run's outputs
-    only; the tables are not written when no sample succeeds.
+    only; the tables are not written when no sample succeeds. A worker
+    count below 1 raises ``ValueError`` before any output is touched.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     out_dir = Path(plan.output_dir)
     samples_dir = out_dir / "samples"
     samples_dir.mkdir(parents=True, exist_ok=True)

@@ -1,15 +1,16 @@
 """Dense real linear algebra at workbench scale (matrix order <= ~512).
 
-Thin contracts over LAPACK: linear solves go through an LU factorization
-with partial pivoting so that numerically rank-deficient systems are
-rejected by an explicit pivot threshold, and symmetric eigendecomposition
-returns eigenvalues in non-decreasing order with orthonormal vectors.
-Matrices are plain float64 ``numpy.ndarray`` values.
+Thin contracts over LAPACK: the one inverse goes through an LU
+factorization with partial pivoting so that numerically rank-deficient
+matrices are rejected by an explicit pivot threshold, and symmetric
+eigendecomposition returns eigenvalues in non-decreasing order with
+orthonormal vectors. Matrices are plain float64 ``numpy.ndarray`` values.
 
-The LU calls LAPACK ``dgetrf``/``dgetrs`` directly, the routines that
-``scipy.linalg.lu_factor``/``lu_solve`` wrap, so results match theirs bit
-for bit without the wrappers' per-call cost. Their checks are kept here:
-non-finite input is rejected before LAPACK runs, and ``info < 0`` raises.
+The inverse calls LAPACK ``dgetrf``/``dgetrs`` directly, the routines that
+``scipy.linalg.lu_factor``/``lu_solve`` wrap, so it matches their solve
+against the identity bit for bit without the wrappers' per-call cost.
+Their checks are kept here: non-finite input is rejected before LAPACK
+runs, and ``info < 0`` raises.
 """
 
 from __future__ import annotations
@@ -25,25 +26,19 @@ class SingularMatrixError(ValueError):
     """Coefficient matrix is singular or numerically rank-deficient."""
 
 
-def solve_linear(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = rhs`` for square ``a``.
+def invert(a: np.ndarray) -> np.ndarray:
+    """Inverse of square ``a``: its LU factorization solved against the
+    identity.
 
     Raises :class:`SingularMatrixError` when any pivot of the
     partially-pivoted LU factorization falls below ``PIVOT_TOL``, and
-    ``ValueError`` when ``a`` or ``rhs`` holds a NaN or infinity.
+    ``ValueError`` when ``a`` holds a NaN or infinity.
     """
     a = np.asarray(a, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"coefficient matrix must be square, got shape {a.shape}")
-    if rhs.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"rhs has {rhs.shape[0]} rows, expected {a.shape[0]}"
-        )
-    if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
-        raise ValueError("coefficient matrix and rhs must not contain infs or NaNs")
-    if not a.size:
-        return np.empty_like(rhs)
+    if not np.isfinite(a).all():
+        raise ValueError("coefficient matrix must not contain infs or NaNs")
     # An exactly zero pivot (info > 0) also fails the pivot check.
     lu, piv, info = dgetrf(a)
     if info < 0:
@@ -53,16 +48,10 @@ def solve_linear(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularMatrixError(
             f"pivot {pivots.min():.3e} below {PIVOT_TOL:.0e} after partial pivoting"
         )
-    x, info = dgetrs(lu, piv, rhs)
+    x, info = dgetrs(lu, piv, np.eye(a.shape[0]))
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrs")
     return x
-
-
-def invert(a: np.ndarray) -> np.ndarray:
-    """Matrix inverse via :func:`solve_linear` against the identity."""
-    a = np.asarray(a, dtype=float)
-    return solve_linear(a, np.eye(a.shape[0]))
 
 
 def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

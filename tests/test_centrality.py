@@ -36,10 +36,11 @@ from graphbench import (
     sym_eigen,
     walk_betweenness,
 )
+from graphbench import centrality
 from graphbench.centrality import (
     MEASURES,
+    ConvergenceError,
     compute_measure,
-    information_intermediate,
     measure_stack,
     power_iteration,
 )
@@ -167,6 +168,11 @@ class TestEigenvector:
         assert state.last_delta[0] < 1e-12
         assert abs(state.iterate[0].sum() - 1.0) < 1e-12
 
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(centrality, "POWER_ITERATION_CAP", 1)
+        with pytest.raises(ConvergenceError, match="within 1 iterations"):
+            eigenvector(P4)
+
 
 class TestInformation:
     def test_vertex_transitive_constant(self):
@@ -181,12 +187,25 @@ class TestInformation:
         for g in corpus_small:
             if g.n < 2:
                 continue
-            inter = information_intermediate(g)
-            sums = inter.b.sum(axis=1)
+            b = centrality.invert(
+                np.diag(g.degrees.astype(float)) - g.adjacency_matrix + np.ones((g.n, g.n))
+            )
+            sums = b.sum(axis=1)
             assert np.max(np.abs(sums - sums[0])) <= 1e-8
             # (D - A + U) @ (1/n) = all-ones, so every row of B sums to 1/n.
             assert sums[0] == pytest.approx(1.0 / g.n, abs=1e-10)
-            assert inter.t == pytest.approx(np.trace(inter.b))
+
+    def test_uneven_row_sums_raise(self, monkeypatch):
+        invert = centrality.invert
+
+        def perturbed(a):
+            b = invert(a)
+            b[0, 0] += 1e-6
+            return b
+
+        monkeypatch.setattr(centrality, "invert", perturbed)
+        with pytest.raises(ArithmeticError, match="row sums"):
+            information(P4)
 
 
 class TestSubgraph:
@@ -418,8 +437,8 @@ class TestInvariants:
             perm = rng.permutation(g.n)
             h = g.relabel(perm)
             for name in MEASURES:
-                original = all_measures(g, [name])[name].values
-                permuted = all_measures(h, [name])[name].values
+                original = compute_measure(g, name).values
+                permuted = compute_measure(h, name).values
                 assert np.max(np.abs(permuted[perm] - original)) <= 1e-9, name
 
     def test_vertex_transitive_graphs_constant(self):

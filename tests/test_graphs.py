@@ -14,7 +14,6 @@ from graphbench import (
     GraphError,
     FormatError,
     UNREACHABLE,
-    all_measures,
     bfs_all_pairs,
     format_edge_list,
     format_graph6,
@@ -22,6 +21,7 @@ from graphbench import (
     parse_edge_list,
     parse_graph6,
 )
+from graphbench.centrality import compute_measure
 from graphbench.graphs import _graph6_pairs
 
 P3 = Graph(3, [(0, 1), (1, 2)])
@@ -123,11 +123,11 @@ class TestGraph:
 
 class TestEdgeList:
     def test_parse_path(self):
-        g = parse_edge_list("0 1\n1 2", n_hint=3)
+        g = parse_edge_list("0 1\n1 2")
         assert g == P3
 
     def test_parse_single_vertex(self):
-        g = parse_edge_list("", n_hint=1)
+        g = parse_edge_list("# n=1\n")
         assert g.n == 1 and g.m == 0
 
     def test_duplicate_edge_rejected_with_line(self):
@@ -152,7 +152,7 @@ class TestEdgeList:
 
     def test_index_beyond_hint_rejected(self):
         with pytest.raises(FormatError, match="out of range"):
-            parse_edge_list("0 5", n_hint=3)
+            parse_edge_list("# n=3\n0 5")
 
     def test_header_preserves_isolated_vertices(self):
         g = parse_edge_list("# n=4\n0 1")
@@ -278,7 +278,8 @@ class TestBfs:
             mask = rng.random(iu.size) < 0.3
             g = Graph(n, zip(iu[mask], ju[mask]))
             if is_connected(g):  # the measures read the cached geodesics first
-                all_measures(g, ("closeness", "eccentricity", "betweenness"))
+                for name in ("closeness", "eccentricity", "betweenness"):
+                    compute_measure(g, name)
             fresh = bfs_all_pairs(Graph(n, g.edges.tolist()))
             assert np.array_equal(bfs_all_pairs(g).dist, fresh.dist)
             assert np.array_equal(bfs_all_pairs(g).sigma, fresh.sigma)

@@ -437,7 +437,9 @@ class TestRun:
                   "output_dir": str(tmp_path / "out")}
         results = run_experiment(plan_experiments(config), workers=1)
         assert [r.error for r in results] == [None] * 21
-        assert built == [5] * 21
+        # One graph per class of all 34 graphs on 5 vertices, the census's
+        # own: the cell measures them without rebuilding any.
+        assert built == [5] * 34
 
     def test_malformed_record_named(self, tmp_path):
         plan = plan_experiments(_tiny_config(tmp_path / "out", samples_per_cell=1,
@@ -518,6 +520,13 @@ class TestRun:
             results = run_experiment(census, workers=workers)
             assert [r.error for r in results] == [None] * 27
         assert sizes == [2]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, tmp_path, workers):
+        plan = plan_experiments(_tiny_config(tmp_path / "out"))
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_experiment(plan, workers=workers)
+        assert not (tmp_path / "out").exists()
 
     def test_keep_vectors(self, tmp_path):
         plan = plan_experiments(_tiny_config(tmp_path / "out"))
@@ -853,6 +862,21 @@ class TestCli:
             manifest.write_text(good)
         assert rc == 2
         assert f"error: {manifest}: not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_experiment_rejects_worker_count_below_one(self, tmp_path, capsys, workers):
+        out_dir = tmp_path / "results"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_tiny_config(out_dir)))
+        assert cli_main(["experiment", "--config", str(config)]) == 0
+        before = {path: path.read_bytes() for path in out_dir.rglob("*") if path.is_file()}
+        capsys.readouterr()
+        rc = cli_main(["experiment", "--config", str(config), "--workers", workers])
+        assert rc == 2
+        assert f"error: workers must be >= 1, got {workers}" in capsys.readouterr().err
+        # The earlier run's outputs are left as they were.
+        after = {path: path.read_bytes() for path in out_dir.rglob("*") if path.is_file()}
+        assert after == before
 
     def test_partial_failure_exit_code(self, tmp_path, capsys):
         config = tmp_path / "config.json"
