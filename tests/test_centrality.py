@@ -276,28 +276,107 @@ class TestStacks:
         with pytest.raises(ValueError, match="unknown measure 'pagerank'"):
             measure_stack([P3], "pagerank")
 
-    def test_stack_of_one_matches_pinned_hashes(self):
-        # sha256 of the score bytes from the per-graph forms these kernels
+    def test_scores_match_pinned_hashes(self):
+        # First 16 hex digits of the sha256 of each measure's score bytes,
+        # captured from the per-graph kernels that the stack kernels
         # replaced, in an interpreter with BLAS on one thread: a threaded
-        # eigh rounds differently at n = 500.
+        # eigh rounds differently at n = 500. The census corpora run as
+        # whole stacks; each drawn sample is a stack of one.
         pinned = {
-            "er": ["ndarray",
-                   "08e2fe10e23e297c6b00cecae5638cfe47f3228236fd85e826e4d34a8e651986",
-                   "1c7107f3ed8aa0f0d2e44a11a38d11e38ec811cab72b30085f7036f7356bf482"],
-            "sw": ["csr_array",
-                   "4efb923ca342f55b59d17697120937ccf31a80cb28f5963c03c9178cacc64bd3",
-                   "7e10e22b2a24f11a26dd248fe85b609f429d6629e4a0dd383619c6a1a12c2cc6"],
+            "corpus6": {
+                "betweenness": "4605787899557a96",
+                "closeness": "65f8f9261c8c7a4d",
+                "degree": "bd3a4e42537286ce",
+                "eccentricity": "274eb5faa38e026f",
+                "eigenvector": "48e8b049fa8e2d69",
+                "information": "0b717e3cb566cbdd",
+                "subgraph": "4c9b61214edfb641",
+                "walk_betweenness": "ad930da023891435",
+            },
+            "corpus7": {
+                "betweenness": "31187d11db8c67df",
+                "closeness": "936e11de9c7138ae",
+                "degree": "8f35e6ae4dfeba77",
+                "eccentricity": "9740442453a73330",
+                "eigenvector": "f32cacea372503c4",
+                "information": "c95f6a431e306449",
+                "subgraph": "b3c14a4c5eb0e052",
+                "walk_betweenness": "89d646b943656977",
+            },
+            "er100": {
+                "operator": "ndarray",
+                "betweenness": "68741371e63668db",
+                "closeness": "815dbfe181dcf60e",
+                "degree": "7b080c89f37d0940",
+                "eccentricity": "ae2aec2f0c595567",
+                "eigenvector": "08e2fe10e23e297c",
+                "information": "b99a2dca6ae9e813",
+                "subgraph": "1c7107f3ed8aa0f0",
+                "walk_betweenness": "4d31a59b9d6da699",
+            },
+            "er500": {
+                "operator": "ndarray",
+                "betweenness": "b7da50c788e56d4e",
+                "closeness": "33343277ea264fe0",
+                "degree": "eb6302161cfad124",
+                "eccentricity": "64cb23f92dd28e65",
+                "eigenvector": "33acfb1d6787b977",
+                "information": "0a43c74bc07ce237",
+                "subgraph": "ecadc1169ee0e255",
+                "walk_betweenness": "b9969d28265a12f8",
+            },
+            "gr484": {
+                "operator": "ndarray",
+                "betweenness": "7d226e408eb64f04",
+                "closeness": "9ccd6156033244c2",
+                "degree": "73c4319dfbf332f1",
+                "eccentricity": "e201969f0c51449e",
+                "eigenvector": "ac446255580c06dd",
+                "information": "ad75c995eb1fc76e",
+                "subgraph": "f1328dae8d3e6c2b",
+                "walk_betweenness": "ccea422a96d73713",
+            },
+            "cs500": {
+                "operator": "ndarray",
+                "betweenness": "f9503a4c074f9df9",
+                "closeness": "57d8722ff5da8730",
+                "degree": "260cbeb2e576271e",
+                "eccentricity": "9cc826bd34c34d3d",
+                "eigenvector": "9c5b3a0b81a6aadc",
+                "information": "9b27cf085da21249",
+                "subgraph": "5c023519216d1424",
+                "walk_betweenness": "e58d6611de4aa85a",
+            },
+            "sw500": {
+                "operator": "csr_array",
+                "betweenness": "18e4f1ddadc323c0",
+                "closeness": "42b0e096b8ca4ebd",
+                "degree": "23d875b91495b8c0",
+                "eccentricity": "ac66898a7dc171f8",
+                "eigenvector": "4efb923ca342f55b",
+                "information": "156b3a20cc960e08",
+                "subgraph": "7e10e22b2a24f11a",
+                "walk_betweenness": "8f7322179e3dd68e",
+            },
         }
         code = textwrap.dedent("""
             import hashlib, json
             from oracles import seeded_sample
-            from graphbench import eigenvector, subgraph
-            out = {}
-            for spec in (("er", 100, {"p": 0.1}), ("sw", 500, {"k": 4, "p": 0.1})):
+            from graphbench import enumerate_connected_nonisomorphic
+            from graphbench.centrality import MEASURES, measure_stack
+
+            def digest(stack):
+                return {m: hashlib.sha256(measure_stack(stack, m).tobytes()).hexdigest()[:16]
+                        for m in MEASURES}
+
+            out = {f"corpus{n}": digest(enumerate_connected_nonisomorphic(n)) for n in (6, 7)}
+            for spec in (("er", 100, {"p": 0.1}), ("er", 500, {"p": 0.1}),
+                         ("gr", 484, {"kappa": 1.2}),
+                         ("cs", 500, {"p_c": 0.1, "p": 0.5, "c": 50}),
+                         ("sw", 500, {"k": 4, "p": 0.1})):
                 g = seeded_sample(*spec)
-                out[spec[0]] = [type(g.adjacency_operator).__name__] + [
-                    hashlib.sha256(f(g).values.tobytes()).hexdigest()
-                    for f in (eigenvector, subgraph)]
+                out[f"{spec[0]}{spec[1]}"] = {
+                    "operator": type(g.adjacency_operator).__name__, **digest([g])}
             print(json.dumps(out))
         """)
         here = Path(__file__).resolve().parent
