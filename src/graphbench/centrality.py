@@ -37,7 +37,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, bfs_all_pairs, is_connected
+from .graphs import Graph, GraphStack
+from .graphs import bfs_all_pairs, is_connected  # perfbench/tracing.py wraps them here
 from .linalg import invert, sym_eigen
 
 SHORT_LABELS = {
@@ -102,39 +103,43 @@ def _checked(measure: str, values) -> np.ndarray:
     return values
 
 
-def _degree(g: Graph) -> np.ndarray:
-    return g.degrees.astype(float)
+def _degree(st: GraphStack) -> np.ndarray:
+    return st.degrees.copy()
 
 
-def _closeness(g: Graph) -> np.ndarray:
-    return 1.0 / bfs_all_pairs(g).dist.sum(axis=0)
+def _closeness(st: GraphStack) -> np.ndarray:
+    return 1.0 / st.geodesics.dist.sum(axis=1)
 
 
-def _eccentricity(g: Graph) -> np.ndarray:
-    return 1.0 / bfs_all_pairs(g).dist.max(axis=0)
+def _eccentricity(st: GraphStack) -> np.ndarray:
+    return 1.0 / st.geodesics.dist.max(axis=1)
 
 
-def _betweenness(g: Graph) -> np.ndarray:
+def _betweenness(st: GraphStack) -> np.ndarray:
     """Geodesic betweenness by level-wise dependency accumulation.
 
-    All sources are processed at once: dependencies flow one BFS level at
-    a time through the graph's adjacency operator, which reproduces the
+    All sources of every graph are processed at once: dependencies flow
+    one BFS level at a time through the adjacency, which reproduces the
     classic per-source accumulation
-    ``delta[v] += sigma[v]/sigma[w] * (1+delta[w])`` as matrix products.
-    On a dense adjacency row s of ``delta`` belongs to source s. On a CSR
-    adjacency ``delta`` is kept transposed, one column per source, so the
-    sparse product needs no transpose copies: ``dist`` and ``sigma`` are
-    symmetric, and only the product and the final sum change sides.
+    ``delta[v] += sigma[v]/sigma[w] * (1+delta[w])`` as matrix products,
+    one ``coeff @ A`` per level over the ``(k, n, n)`` stack, in which row
+    s of a graph's ``delta`` belongs to source s. Each matrix gets the gemm
+    it would get alone, and a graph whose levels end early multiplies
+    zeros, so each row is bit for bit that of its stack of one. A lone
+    graph with a CSR adjacency keeps ``delta`` transposed, one column per
+    source, so the sparse product needs no transpose copies: ``dist`` and
+    ``sigma`` are symmetric, and only the product and the final sum
+    change sides.
     """
-    n = g.n
+    k, n = len(st), st.n
     if n <= 2:
-        return np.zeros(n)
-    op = g.adjacency_operator
-    by_column = not isinstance(op, np.ndarray)
-    geo = bfs_all_pairs(g)
+        return np.zeros((k, n))
+    by_column = k == 1 and not isinstance(st[0].adjacency_operator, np.ndarray)
+    op = st[0].adjacency_operator if by_column else st.adjacency
+    geo = st.geodesics
     dist, sigma = geo.dist.ravel(), geo.sigma.ravel()
-    delta = np.zeros(n * n)
-    coeff = np.zeros((n, n))
+    delta = np.zeros(dist.size)
+    coeff = np.zeros((k, n, n))
     # Level 1 would only feed the sources themselves, whose entries (the
     # diagonal) stay 0, so the loop stops at level 2.
     top = int(dist.max())
@@ -142,11 +147,11 @@ def _betweenness(g: Graph) -> np.ndarray:
     for level in range(top, 1, -1):
         at, below = below, np.flatnonzero(dist == level - 1)
         np.put(coeff, at, (1.0 + delta[at]) / sigma[at])
-        spread = op @ coeff if by_column else coeff @ op
+        spread = op @ coeff[0] if by_column else np.matmul(coeff, op)
         np.put(coeff, at, 0.0)
         delta[below] = sigma[below] * spread.take(below)
     # Each unordered pair is seen from both endpoints as a source.
-    per_vertex = delta.reshape(n, n).sum(axis=int(by_column))
+    per_vertex = delta.reshape(k, n, n).sum(axis=1 + by_column)
     return per_vertex / 2.0
 
 
@@ -163,9 +168,9 @@ def power_iteration(graphs) -> PowerIterationState:
     iterate, iteration count and last delta are bit for bit those of a
     stack of one. The buffers are reused until a graph leaves.
     """
-    m = np.stack([g.adjacency_matrix for g in graphs])
+    st = GraphStack(graphs)
+    m = st.adjacency + np.eye(st.n)
     k, n, _ = m.shape
-    m += np.eye(n)
     v = np.full((k, n, 1), 1.0 / n)
     w, diff = np.empty_like(v), np.empty_like(v)
     iterate, last_delta = np.empty((k, n)), np.empty(k)
@@ -194,38 +199,51 @@ def power_iteration(graphs) -> PowerIterationState:
     )
 
 
-def _eigenvector(graphs) -> np.ndarray:
+def _eigenvector(st: GraphStack) -> np.ndarray:
     """Eigenvector centrality of each graph of a stack, one row per graph:
     the converged power-iteration iterate divided by its largest entry."""
-    v = power_iteration(graphs).iterate
+    v = power_iteration(st).iterate
     return v / v.max(axis=1, keepdims=True)
 
 
-def _information(g: Graph) -> np.ndarray:
+def _laplacian(st: GraphStack) -> np.ndarray:
+    """``(k, n, n)`` Laplacians ``D - A``, built as ``diag(degrees) - A``."""
+    n = st.n
+    lap = np.zeros((len(st), n, n))
+    lap[:, np.arange(n), np.arange(n)] = st.degrees
+    lap -= st.adjacency
+    return lap
+
+
+def _information(st: GraphStack) -> np.ndarray:
     """Stephenson-Zelen information centrality.
 
     With ``B = (D - A + U)^-1``, ``T`` its trace and ``R`` its common row
     sum (every row of B sums to ``1/n`` on a connected graph), vertex k
-    scores ``1 / (B[k,k] + (T - 2R)/n)``.
+    scores ``1 / (B[k,k] + (T - 2R)/n)``. One :func:`invert` call takes the
+    whole stack.
     """
-    n = g.n
-    b = invert(np.diag(g.degrees.astype(float)) - g.adjacency_matrix + np.ones((n, n)))
-    row_sums = b.sum(axis=1)
-    if np.max(np.abs(row_sums - row_sums[0])) > _ROW_SUM_TOL:
+    lap = _laplacian(st)
+    lap += 1.0
+    b = invert(lap)
+    row_sums = b.sum(axis=2)
+    if np.max(np.abs(row_sums - row_sums[:, :1])) > _ROW_SUM_TOL:
         raise ArithmeticError("row sums of (D - A + U)^-1 are not constant")
-    return 1.0 / (np.diag(b) + (float(np.trace(b)) - 2.0 * float(row_sums[0])) / n)
+    diag = np.diagonal(b, axis1=1, axis2=2)
+    shift = (diag.sum(axis=1) - 2.0 * row_sums[:, 0]) / st.n
+    return 1.0 / (diag + shift[:, None])
 
 
-def _subgraph(graphs) -> np.ndarray:
+def _subgraph(st: GraphStack) -> np.ndarray:
     """Subgraph centrality of each graph of a stack, one row per graph: the
     diagonal of ``expm(A)`` from one stacked eigendecomposition. Each
     matrix gets the ``eigh`` and the gemv it would get alone, so every row
     is bit for bit that of a stack of one."""
-    lam, vecs = sym_eigen(np.stack([g.adjacency_matrix for g in graphs]))
+    lam, vecs = sym_eigen(st.adjacency)
     return np.matmul(vecs * vecs, np.exp(lam)[..., None])[..., 0]
 
 
-def _walk_betweenness(g: Graph) -> np.ndarray:
+def _walk_betweenness(st: GraphStack) -> np.ndarray:
     """Current-flow (random-walk) betweenness.
 
     For source-target pair (i, j), the current on edge (k, t) is
@@ -235,100 +253,103 @@ def _walk_betweenness(g: Graph) -> np.ndarray:
     sorted prefix sum, and pairs involving the edge's own endpoints are
     subtracted, giving O(m n log n) overall.
 
+    The potentials ``T`` of the whole stack come from one :func:`invert`
+    call, and every step gathers its per-edge rows over the stack: each
+    graph's edges are padded to the stack's largest edge count with
+    ``(0, 0)``, an edge that carries no current and adds exact zeros.
     Edges are taken in chunks of ``_EDGE_CHUNK``. Within a chunk, the
     potential differences ``T[u] - T[v]``, the two endpoint deviation sums
     and the in-place row sort run in blocks of ``_ROW_BLOCK`` edges, so
     the working set stays in cache and the buffers are reused. The sorted
     rows land in one chunk-sized array, and each chunk does one
-    matrix-vector product with the rank weights and one accumulation per
-    endpoint: a product per block would round differently when a block
-    holds a single row.
+    matrix-vector product per graph with the rank weights and one
+    accumulation per endpoint: a product per block would round differently
+    when a block holds a single row.
     """
-    n = g.n
-    # Inverse of the Laplacian grounded at the last vertex: its last row
+    k, n = len(st), st.n
+    # Inverse of each Laplacian grounded at the last vertex: its last row
     # and column are removed before inversion and padded back as zeros.
-    lap = np.diag(g.degrees.astype(float)) - g.adjacency_matrix
-    t = np.zeros((n, n))
-    t[: n - 1, : n - 1] = invert(lap[: n - 1, : n - 1])
-    acc = np.zeros(n)
-    edges = g.edges
-    m = len(edges)
+    t = np.zeros((k, n, n))
+    t[:, : n - 1, : n - 1] = invert(_laplacian(st)[:, : n - 1, : n - 1])
+    t_rows = t.reshape(k * n, n)
+    # Edge endpoints as rows of t_rows and slots of acc.
+    offset = np.arange(0, k * n, n)[:, None]
+    acc = np.zeros(k * n)
+    edges = st.edges
+    m = edges.shape[1]
     rank_weights = 2.0 * np.arange(n) - (n - 1)
-    ordered = np.empty((min(m, _EDGE_CHUNK), n))
-    scratch = np.empty((min(m, _ROW_BLOCK), n))
+    ordered = np.empty((k, min(m, _EDGE_CHUNK), n))
+    scratch = np.empty((k, min(m, _ROW_BLOCK), n))
     for lo in range(0, m, _EDGE_CHUNK):
-        chunk = edges[lo : lo + _EDGE_CHUNK]
-        u, v = chunk[:, 0], chunk[:, 1]
-        pairs_u = np.empty(len(chunk))
-        pairs_v = np.empty(len(chunk))
-        for b in range(0, len(chunk), _ROW_BLOCK):
-            bu, bv = u[b : b + _ROW_BLOCK], v[b : b + _ROW_BLOCK]
-            rows = np.arange(len(bu))
-            x = ordered[b : b + len(bu)]
-            dev = scratch[: len(bu)]
+        chunk = edges[:, lo : lo + _EDGE_CHUNK]
+        u, v = chunk[..., 0], chunk[..., 1]
+        c = chunk.shape[1]
+        pairs_u = np.empty((k, c))
+        pairs_v = np.empty((k, c))
+        for b in range(0, c, _ROW_BLOCK):
+            bu, bv = u[:, b : b + _ROW_BLOCK], v[:, b : b + _ROW_BLOCK]
+            w = bu.shape[1]
+            x = ordered[:, b : b + w]
+            dev = scratch[:, :w]
             # The indices are in range; mode="clip" lets take write into
             # ``out`` without an intermediate copy.
-            np.take(t, bu, axis=0, out=x, mode="clip")
-            np.take(t, bv, axis=0, out=dev, mode="clip")
+            np.take(t_rows, bu + offset, axis=0, out=x, mode="clip")
+            np.take(t_rows, bv + offset, axis=0, out=dev, mode="clip")
             x -= dev
             # Sum of |x_i - x_j| over the pairs with j an endpoint, per edge.
             for ends, sums in ((bu, pairs_u), (bv, pairs_v)):
-                np.subtract(x, x[rows, ends][:, None], out=dev)
+                np.subtract(x, np.take_along_axis(x, ends[..., None], axis=2), out=dev)
                 np.abs(dev, out=dev)
-                dev.sum(axis=1, out=sums[b : b + len(bu)])
-            x.sort(axis=1)
+                dev.sum(axis=2, out=sums[:, b : b + w])
+            x.sort(axis=2)
         # Sum of |x_i - x_j| over all pairs i<j, per edge.
-        total = ordered[: len(chunk)] @ rank_weights
-        np.add.at(acc, u, total - pairs_u)
-        np.add.at(acc, v, total - pairs_v)
-    return 0.5 * acc + (n - 1)
+        total = ordered[:, :c] @ rank_weights
+        np.add.at(acc, u + offset, total - pairs_u)
+        np.add.at(acc, v + offset, total - pairs_v)
+    return 0.5 * acc.reshape(k, n) + (n - 1)
 
 
 class _Measure(NamedTuple):
-    """A :data:`_TABLE` entry: the kernel, ``(graphs) -> (k, n)`` scores,
-    whether the measure needs a connected graph, and the smallest vertex
-    count it is defined on."""
+    """A :data:`_TABLE` entry: the kernel, ``(GraphStack) -> (k, n)``
+    scores, whether the measure needs a connected graph, and the smallest
+    vertex count it is defined on."""
 
-    kernel: Callable[[list], np.ndarray]
+    kernel: Callable[[GraphStack], np.ndarray]
     connected: bool
     min_n: int
 
 
-def _per_graph(func) -> Callable[[list], np.ndarray]:
-    """The stack kernel of a one-graph function: its rows, stacked."""
-    return lambda graphs: np.stack([func(g) for g in graphs])
-
-
 _TABLE = {
-    "betweenness": _Measure(_per_graph(_betweenness), connected=True, min_n=1),
-    "closeness": _Measure(_per_graph(_closeness), connected=True, min_n=2),
-    "degree": _Measure(_per_graph(_degree), connected=False, min_n=1),
-    "eccentricity": _Measure(_per_graph(_eccentricity), connected=True, min_n=2),
+    "betweenness": _Measure(_betweenness, connected=True, min_n=1),
+    "closeness": _Measure(_closeness, connected=True, min_n=2),
+    "degree": _Measure(_degree, connected=False, min_n=1),
+    "eccentricity": _Measure(_eccentricity, connected=True, min_n=2),
     "eigenvector": _Measure(_eigenvector, connected=True, min_n=1),
-    "information": _Measure(_per_graph(_information), connected=True, min_n=2),
+    "information": _Measure(_information, connected=True, min_n=2),
     "subgraph": _Measure(_subgraph, connected=False, min_n=1),
-    "walk_betweenness": _Measure(_per_graph(_walk_betweenness), connected=True, min_n=2),
+    "walk_betweenness": _Measure(_walk_betweenness, connected=True, min_n=2),
 }
 MEASURES = tuple(_TABLE)  # in name order
 
 
 def measure_stack(graphs, measure: str) -> np.ndarray:
     """The ``(k, n)`` scores of ``measure`` for k graphs on one vertex count,
-    each row bit for bit that of its stack of one. Every check runs once
-    per stack: one vertex count, connectivity where the measure needs it,
-    enough vertices, and finite, non-negative scores."""
+    given as a :class:`~graphbench.graphs.GraphStack` or any sequence of
+    graphs, each row bit for bit that of its stack of one. The stack's
+    adjacency, degrees and geodesics are built once, on its first measure
+    that needs them, and every check runs once per stack: one vertex
+    count, connectivity where the measure needs it, enough vertices, and
+    finite, non-negative scores."""
     try:
         spec = _TABLE[measure]
     except KeyError:
         raise ValueError(f"unknown measure {measure!r}") from None
-    sizes = {g.n for g in graphs}
-    if len(sizes) != 1:
-        raise ValueError("a stack needs at least one graph, all on one vertex count")
-    if spec.connected and not all(is_connected(g) for g in graphs):
+    stack = GraphStack(graphs)
+    if spec.connected and not stack.connected.all():
         raise DisconnectedGraphError(f"{measure} requires a connected graph")
-    if sizes.pop() < spec.min_n:
+    if stack.n < spec.min_n:
         raise ValueError(f"{measure} is undefined for a single vertex")
-    return _checked(measure, spec.kernel(graphs))
+    return _checked(measure, spec.kernel(stack))
 
 
 def compute_measure(g: Graph, measure: str) -> CentralityVector:

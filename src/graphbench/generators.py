@@ -36,7 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .graphs import Graph, _graph6_pairs, is_connected
+from .graphs import Graph, GraphStack, _graph6_pairs, connected_stack, is_connected
 
 MODELS = ("cs", "er", "gr", "sf", "sw", "kg")
 
@@ -413,8 +413,10 @@ def ensure_connected(
     )
 
 
-def enumerate_connected_nonisomorphic(n: int) -> list[Graph]:
-    """One representative per isomorphism class of connected graphs, n <= 7.
+def _class_bits(n: int) -> np.ndarray:
+    """One edge set per isomorphism class of graphs on n <= 7 vertices,
+    connected or not: a ``(classes, n(n-1)/2)`` bool array over the pairs
+    of ``_graph6_pairs(n)``, in ascending adjacency bit-code order.
 
     Edge subsets are walked as adjacency bit-codes in ascending order. Each
     code not yet met starts a class, and its orbit over all vertex
@@ -423,12 +425,8 @@ def enumerate_connected_nonisomorphic(n: int) -> list[Graph]:
     float32 table ``image`` holds, at each pair, the code weight of that
     pair's image under vertex permutation p. Codes have ``n(n-1)/2 <= 21``
     bits, so every partial sum is an integer below 2**24 and the float32
-    product is exact in any summation order. Every representative becomes
-    a graph, and those whose :attr:`Graph.connected` holds are kept in
-    ascending canonical order, each carrying its cached connectivity to
-    the measures' guard.
+    product is exact in any summation order.
     """
-    expected = census_count(n)
     pairs = _graph6_pairs(n)
     i, j = pairs.T
     shifts = np.arange(i.size - 1, -1, -1)
@@ -446,8 +444,22 @@ def enumerate_connected_nonisomorphic(n: int) -> list[Graph]:
             break
         codes.append(code)
         alive[(image @ ((code >> shifts) & 1).astype(np.float32)).astype(np.int64)] = False
-    bits = (np.array(codes)[:, None] >> shifts) & 1 == 1
-    reps = [g for g in (Graph(n, pairs[b]) for b in bits) if g.connected]
+    return (np.array(codes)[:, None] >> shifts) & 1 == 1
+
+
+def enumerate_connected_nonisomorphic(n: int) -> GraphStack:
+    """One representative per isomorphism class of connected graphs, n <= 7,
+    in ascending canonical order, as one :class:`~graphbench.graphs.GraphStack`.
+
+    Every class is represented by its minimum adjacency bit-code
+    (:func:`_class_bits`). :func:`~graphbench.graphs.connected_stack`
+    decides connectivity for all classes with one stacked all-sources BFS
+    and builds graphs for the connected ones only, so each graph and the
+    stack arrive with adjacency, geodesics and connectivity known: the
+    measures run no BFS of their own on a census graph.
+    """
+    expected = census_count(n)
+    reps = connected_stack(n, _class_bits(n))
     if len(reps) != expected:
         raise AssertionError(
             f"census found {len(reps)} classes on {n} vertices, expected {expected}"

@@ -87,6 +87,16 @@ class Graph:
         self._n = n
         self._edges = canon
 
+    @classmethod
+    def _canonical(cls, n: int, edges: np.ndarray) -> "Graph":
+        """A graph on ``edges`` that are already canonical: a read-only
+        ``(m, 2)`` int64 array of distinct in-range pairs, smaller index
+        first, sorted. Nothing is checked or copied."""
+        g = object.__new__(cls)
+        g._n = n
+        g._edges = edges
+        return g
+
     @property
     def n(self) -> int:
         return self._n
@@ -153,36 +163,9 @@ class Graph:
 
     @cached_property
     def geodesics(self) -> GeodesicData:
-        """Breadth-first distances and geodesic counts from every source.
-
-        Runs all sources simultaneously: at each level the frontier's path
-        counts are pushed one step through :attr:`adjacency_operator`, so
-        the work per level is one product with an n-by-n matrix. Column s
-        of the frontier holds the counts from source s; ``dist`` and
-        ``sigma`` are symmetric, so the rows are sources as well. Path
-        counts are integers, exact while they stay below 2**53.
-        """
-        n = self._n
-        op = self.adjacency_operator
-        dist = np.full((n, n), UNREACHABLE, dtype=np.int32)
-        np.fill_diagonal(dist, 0)
-        sigma = np.eye(n)
-        frontier = sigma
-        level = 0
-        unreached = n * n - n
-        while unreached:
-            frontier = op @ frontier
-            frontier *= sigma == 0  # keep the counts that reach new vertices
-            newly = np.flatnonzero(frontier)
-            if not newly.size:
-                break
-            unreached -= newly.size
-            level += 1
-            np.put(dist, newly, level)
-            np.put(sigma, newly, frontier.take(newly))
-        dist.flags.writeable = False
-        sigma.flags.writeable = False
-        return GeodesicData(dist=dist, sigma=sigma)
+        """Breadth-first distances and geodesic counts from every source,
+        by :func:`_all_pairs_bfs` through :attr:`adjacency_operator`."""
+        return _all_pairs_bfs(self.adjacency_operator, (self._n, self._n))
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Return the graph with vertex v renamed to perm[v]."""
@@ -220,6 +203,152 @@ class GeodesicData:
 
     dist: np.ndarray
     sigma: np.ndarray
+
+
+def _all_pairs_bfs(op, shape: tuple) -> GeodesicData:
+    """Breadth-first distances and geodesic counts from every source of one
+    graph, ``shape`` ``(n, n)``, or of each graph of a dense ``(k, n, n)``
+    stack.
+
+    Runs all sources simultaneously: at each level the frontier's path
+    counts are pushed one step through ``op``, so the work per level is one
+    product with an n-by-n matrix per graph; ``op`` is a graph's
+    :attr:`Graph.adjacency_operator` or the stack's adjacency. Column s of
+    a frontier holds the counts from source s; ``dist`` and ``sigma`` are
+    symmetric, so the rows are sources as well. Path counts are integers,
+    exact while they stay below 2**53, so every summation order gives the
+    same bits and a stacked BFS equals each graph's own.
+    """
+    n = shape[-1]
+    dist = np.full(shape, UNREACHABLE, dtype=np.int32)
+    sigma = np.zeros(shape)
+    diagonal = (..., np.arange(n), np.arange(n))
+    dist[diagonal] = 0
+    sigma[diagonal] = 1.0
+    frontier = sigma
+    level = 0
+    unreached = sigma.size - sigma.size // n
+    while unreached:
+        frontier = op @ frontier
+        frontier *= sigma == 0  # keep the counts that reach new vertices
+        newly = np.flatnonzero(frontier)
+        if not newly.size:
+            break
+        unreached -= newly.size
+        level += 1
+        np.put(dist, newly, level)
+        np.put(sigma, newly, frontier.take(newly))
+    dist.flags.writeable = False
+    sigma.flags.writeable = False
+    return GeodesicData(dist=dist, sigma=sigma)
+
+
+class GraphStack(tuple):
+    """A tuple of k graphs on one vertex count n, with the arrays that every
+    measure of the stack shares, each built once on first use:
+    ``(k, n, n)`` :attr:`adjacency`, ``(k, n)`` :attr:`degrees`, stacked
+    :attr:`geodesics`, per-graph :attr:`connected`, and padded
+    :attr:`edges`.
+
+    A stack of one takes its graph's cached arrays as views, so its
+    geodesics run on the graph's own operator, dense or CSR. A larger
+    stack runs one dense BFS over its stacked adjacency.
+    :func:`connected_stack` hands the census its stack with every array
+    already known. ``GraphStack(stack)`` is ``stack``.
+    """
+
+    def __new__(cls, graphs, **known):
+        if type(graphs) is cls and not known:
+            return graphs
+        self = super().__new__(cls, graphs)
+        sizes = {g.n for g in self}
+        if len(sizes) != 1:
+            raise ValueError("a stack needs at least one graph, all on one vertex count")
+        (self.n,) = sizes
+        vars(self).update(known)
+        return self
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """``(k, n, n)`` 0/1 adjacency matrices as float64 (read-only)."""
+        if len(self) == 1:
+            return self[0].adjacency_matrix[None]
+        a = np.stack([g.adjacency_matrix for g in self])
+        a.flags.writeable = False
+        return a
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """``(k, n)`` vertex degrees as float64 (read-only)."""
+        d = self.adjacency.sum(axis=2)
+        d.flags.writeable = False
+        return d
+
+    @cached_property
+    def geodesics(self) -> GeodesicData:
+        """``(k, n, n)`` distances and geodesic counts, each graph's
+        :attr:`Graph.geodesics` bit for bit."""
+        if len(self) == 1:
+            geo = self[0].geodesics
+            return GeodesicData(dist=geo.dist[None], sigma=geo.sigma[None])
+        return _all_pairs_bfs(self.adjacency, self.adjacency.shape)
+
+    @cached_property
+    def connected(self) -> np.ndarray:
+        """``(k,)`` bool: each graph's :attr:`Graph.connected`."""
+        return np.array([g.connected for g in self])
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """``(k, m, 2)`` int64: each graph's :attr:`Graph.edges`, padded
+        with ``(0, 0)`` to the stack's largest edge count m (read-only)."""
+        if len(self) == 1:
+            return self[0].edges[None]
+        e = np.zeros((len(self), max(g.m for g in self), 2), dtype=np.int64)
+        for row, g in zip(e, self):
+            row[: g.m] = g.edges
+        e.flags.writeable = False
+        return e
+
+
+def connected_stack(n: int, bits: np.ndarray) -> GraphStack:
+    """The connected graphs among k edge sets on n vertices, in their order,
+    as one :class:`GraphStack`; row i of the ``(k, n(n-1)/2)`` bool array
+    ``bits`` marks the edges of graph i over the pairs of
+    :func:`_graph6_pairs`.
+
+    One stacked all-sources BFS decides connectivity for every row. Only
+    the connected rows become graphs, built on canonical edges without
+    revalidation; each graph and the stack arrive with their adjacency,
+    geodesics, connectivity and edges known, as views of the stacked
+    arrays, so no BFS runs again.
+    """
+    pairs = _graph6_pairs(n)
+    i, j = pairs.T
+    adjacency = np.zeros((len(bits), n, n))
+    adjacency[:, i, j] = bits
+    adjacency[:, j, i] = bits
+    geo = _all_pairs_bfs(adjacency, adjacency.shape)
+    keep = (geo.dist[:, 0] != UNREACHABLE).all(axis=1)
+    adjacency, dist, sigma = adjacency[keep], geo.dist[keep], geo.sigma[keep]
+    # Each graph's edges in canonical order, (0, 0)-padded to the largest m.
+    order = np.lexsort((j, i))
+    bits = bits[keep][:, order]
+    counts = bits.sum(axis=1)
+    edges = np.zeros((len(bits), counts.max(initial=0), 2), dtype=np.int64)
+    rows, cols = np.nonzero(bits)
+    edges[rows, bits.cumsum(axis=1)[rows, cols] - 1] = pairs[order][cols]
+    for array in (adjacency, dist, sigma, edges):
+        array.flags.writeable = False
+    graphs = []
+    for e, m, a, d, s in zip(edges, counts.tolist(), adjacency, dist, sigma):
+        g = Graph._canonical(n, e[:m])
+        vars(g).update(connected=True, adjacency_matrix=a,
+                       geodesics=GeodesicData(dist=d, sigma=s))
+        graphs.append(g)
+    return GraphStack(graphs, adjacency=adjacency,
+                      geodesics=GeodesicData(dist=dist, sigma=sigma),
+                      connected=np.ones(len(graphs), dtype=bool), edges=edges)
 
 
 def bfs_all_pairs(g: Graph) -> GeodesicData:

@@ -1,10 +1,10 @@
 """Dense real linear algebra at workbench scale (matrix order <= ~512).
 
-Thin contracts over LAPACK: the one inverse goes through an LU
-factorization with partial pivoting so that numerically rank-deficient
-matrices are rejected by an explicit pivot threshold, and symmetric
-eigendecomposition returns eigenvalues in non-decreasing order with
-orthonormal vectors. Matrices are plain float64 ``numpy.ndarray`` values.
+Thin contracts over LAPACK: the one inverse, of a matrix or of each matrix
+of a stack, goes through an LU factorization with partial pivoting so that
+numerically rank-deficient matrices are rejected by an explicit pivot
+threshold, and symmetric eigendecomposition returns eigenvalues in
+non-decreasing order with orthonormal vectors. Matrices are plain float64 ``numpy.ndarray`` values.
 
 The inverse calls LAPACK ``dgetrf``/``dgetrs`` directly, the routines that
 ``scipy.linalg.lu_factor``/``lu_solve`` wrap, so it matches their solve
@@ -27,31 +27,43 @@ class SingularMatrixError(ValueError):
 
 
 def invert(a: np.ndarray) -> np.ndarray:
-    """Inverse of square ``a``: its LU factorization solved against the
-    identity.
+    """Inverse of square ``a``, or of each matrix of a ``(k, n, n)`` stack:
+    its LU factorization solved against the identity.
 
-    Raises :class:`SingularMatrixError` when any pivot of the
-    partially-pivoted LU factorization falls below ``PIVOT_TOL``, and
-    ``ValueError`` when ``a`` holds a NaN or infinity.
+    The shape and finiteness checks run once. Each matrix gets its own
+    ``dgetrf`` and ``dgetrs`` call, so every inverse is bit for bit that of
+    its matrix alone; each is written in place into its own
+    Fortran-ordered slot of the result, as ``dgetrs`` returns it.
+
+    Raises :class:`SingularMatrixError` when any pivot of any matrix's
+    partially-pivoted LU factorization falls below ``PIVOT_TOL``, before
+    any solve runs, and ``ValueError`` when ``a`` holds a NaN or infinity.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"coefficient matrix must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("coefficient matrix must not contain infs or NaNs")
+    stack = a if a.ndim == 3 else a[None]
     # An exactly zero pivot (info > 0) also fails the pivot check.
-    lu, piv, info = dgetrf(a)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrf")
-    pivots = np.abs(np.diag(lu))
+    factors = [dgetrf(m) for m in stack]
+    for _, _, info in factors:
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrf")
+    pivots = np.abs([lu.diagonal() for lu, _, _ in factors])
     if pivots.min() < PIVOT_TOL:
         raise SingularMatrixError(
             f"pivot {pivots.min():.3e} below {PIVOT_TOL:.0e} after partial pivoting"
         )
-    x, info = dgetrs(lu, piv, np.eye(a.shape[0]))
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrs")
-    return x
+    k, n = stack.shape[:2]
+    out = np.zeros((k, n, n))
+    out[:, np.arange(n), np.arange(n)] = 1.0
+    out = out.transpose(0, 2, 1)  # each identity slot Fortran-ordered
+    for (lu, piv, _), x in zip(factors, out):
+        _, info = dgetrs(lu, piv, x, overwrite_b=True)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrs")
+    return out if a.ndim == 3 else out[0]
 
 
 def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -318,7 +318,7 @@ class TestAdjacencyOperator:
 
     def test_census_graphs_are_dense(self, corpus_small, corpus6, corpus7):
         # The one-vertex graph has no edge and no measure multiplies by it.
-        for g in corpus_small[1:] + corpus6 + corpus7:
+        for g in [*corpus_small[1:], *corpus6, *corpus7]:
             assert g.adjacency_operator is g.adjacency_matrix
 
     def test_small_graphs_leave_scipy_sparse_unimported(self):

@@ -362,22 +362,22 @@ class TestRun:
         manifest = (tmp_path / "out" / "manifest.json").read_text()
         assert manifest == json.dumps(json.loads(manifest), indent=2, sort_keys=True) + "\n"
 
-    # subgraph's kernel fails for the whole stack in one call. closeness
-    # runs a one-graph body per graph, which here fails only on graphs with
-    # more edges than vertices; each stack below holds one, and a failure
-    # on that graph alone fails every sample of its stack.
+    # subgraph's kernel fails for every stack. closeness's fails only on a
+    # stack holding a graph with more edges than vertices; each stack below
+    # holds one, and a failure on that graph alone fails every sample of
+    # its stack.
     @pytest.mark.parametrize("measure", ["subgraph", "closeness"])
     def test_failing_stack_kernel_fails_its_stack(self, tmp_path, monkeypatch, measure):
-        def broken(graphs):
+        def broken(stack):
             raise ArithmeticError("no scores")
 
-        def broken_on_dense(g):
-            if g.m > g.n:
+        def broken_on_dense(stack):
+            if any(g.m > g.n for g in stack):
                 raise ArithmeticError("no scores")
-            return np.ones(g.n)
+            return np.ones((len(stack), stack.n))
 
         if measure == "closeness":
-            broken = centrality._per_graph(broken_on_dense)
+            broken = broken_on_dense
         spec = centrality._TABLE[measure]._replace(kernel=broken)
         monkeypatch.setitem(centrality._TABLE, measure, spec)
         config = _tiny_config(tmp_path / "out", samples_per_cell=1,
@@ -426,20 +426,25 @@ class TestRun:
 
     def test_one_graph_per_census_sample(self, tmp_path, monkeypatch):
         built = []
-        init = Graph.__init__
+        canonical = Graph._canonical.__func__
 
         def counting_init(self, *args, **kwargs):
-            built.append(args[0] if args else kwargs["n"])
-            init(self, *args, **kwargs)
+            raise AssertionError("a census graph went through Graph.__init__")
+
+        def counting_canonical(cls, n, edges):
+            built.append(n)
+            return canonical(cls, n, edges)
 
         monkeypatch.setattr(Graph, "__init__", counting_init)
+        monkeypatch.setattr(Graph, "_canonical", classmethod(counting_canonical))
         config = {"models": [{"model": "nonisomorphic", "n": [5]}],
                   "output_dir": str(tmp_path / "out")}
         results = run_experiment(plan_experiments(config), workers=1)
         assert [r.error for r in results] == [None] * 21
-        # One graph per class of all 34 graphs on 5 vertices, the census's
-        # own: the cell measures them without rebuilding any.
-        assert built == [5] * 34
+        # One graph per connected class, of the 34 classes on 5 vertices,
+        # built on the census's canonical edges: the cell measures them
+        # without rebuilding any.
+        assert built == [5] * 21
 
     def test_malformed_record_named(self, tmp_path):
         plan = plan_experiments(_tiny_config(tmp_path / "out", samples_per_cell=1,

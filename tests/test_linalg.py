@@ -37,7 +37,7 @@ class TestSolve:
             invert(a)
 
     def test_shape_validation(self):
-        for a in (np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2))):
+        for a in (np.ones((2, 3)), np.ones(3), np.ones((2, 2, 3)), np.ones((1, 2, 2, 2))):
             with pytest.raises(ValueError, match="must be square"):
                 invert(a)
 
