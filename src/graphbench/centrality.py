@@ -18,11 +18,19 @@ Every measure maps a :class:`~graphbench.graphs.Graph` to a
   unit current is injected across each vertex pair, endpoint pairs
   contributing exactly 1.
 
-Each measure is a kernel over a stack of graphs on one vertex count
-(:data:`_TABLE`): eigenvector and subgraph take the whole stack in one
-call, the other six run per graph. :func:`measure_stack` checks a stack
-once; :func:`compute_measure` and the eight per-graph functions are its
-stack of one.
+Each measure is a kernel over a :class:`~graphbench.graphs.GraphStack`,
+k graphs on one vertex count (:data:`_TABLE`), and every kernel takes the
+whole stack in one call: betweenness runs one ``coeff @ A`` per BFS level
+over the ``(k, n, n)`` adjacency, closeness and eccentricity reduce the
+stacked distances, information and walk betweenness take one stacked
+:func:`~graphbench.linalg.invert`, eigenvector one ``np.matmul`` per power
+iteration, subgraph one stacked ``eigh``. The stack builds its adjacency,
+degrees and geodesics once and shares them among all eight kernels; a
+stack of one takes them from its graph as views, and a lone CSR graph
+keeps its sparse betweenness product. Every row is bit for bit that of
+its stack of one. :func:`measure_stack` checks a stack once;
+:func:`compute_measure` and the eight per-graph functions are its stack
+of one.
 
 ``betweenness``, ``closeness``, ``eccentricity``, ``eigenvector``,
 ``information`` and ``walk_betweenness`` raise

@@ -4,10 +4,18 @@ Vertices are dense integers ``0..n-1``. A :class:`Graph` is immutable once
 built, so instances can be shared freely between threads or worker
 processes. It holds its edge set once, as a sorted read-only ``(m, 2)``
 int64 array; degrees, adjacency matrix, connectivity and the all-pairs
-geodesics are computed from it on first use and cached, so the census, the
-generators' retry check and the measures' connectivity guards share one
-BFS, and closeness, eccentricity and betweenness share one all-sources
-BFS. Two text formats are supported:
+geodesics are computed from it on first use and cached. The generators'
+retry check and the measures' guard on a drawn sample share its one
+frontier BFS (:attr:`Graph.connected`), and the measures of a drawn sample
+share its one all-sources BFS (:attr:`Graph.geodesics`). A
+:class:`GraphStack` holds k graphs on one vertex count with their
+adjacency, degrees and geodesics stacked, built once for every measure of
+the stack. The census's stack comes from :func:`connected_stack`, whose
+one stacked all-sources BFS over every class decides connectivity and
+leaves each connected graph, and the stack, its geodesics: a census graph
+runs no BFS of its own.
+
+Two text formats are supported:
 
 * edge lists -- one ``"u v"`` line per edge, smaller index first, with an
   optional ``# n=<count>`` first line that preserves isolated vertices;

@@ -60,7 +60,7 @@ from .generators import (
     kronecker_size,
     load_initiators,
 )
-from .graphs import Graph, parse_graph6  # parse_graph6: perfbench/tracing.py wraps it here
+from .graphs import GraphStack, parse_graph6  # parse_graph6: perfbench/tracing.py wraps it here
 
 # Row/column orders of the emitted tables.
 CORRELATION_ORDER = (
@@ -350,12 +350,15 @@ def _run_stack(stack, *, metrics, max_retries: int, keep_vectors: bool) -> list[
     """Worker body: measure one stack and fill in its records.
 
     A stack is ``(records, graphs)``: every sample of a census cell with
-    the graphs the census built, or one sample drawn from its model, whose
-    ``graphs`` is None until its connected network is drawn. Each measure
+    the :class:`~graphbench.graphs.GraphStack` the census built, or one
+    sample drawn from its model, whose ``graphs`` is None until its
+    connected network is drawn and becomes a stack of one. Each measure
     runs once for the stack through :func:`~graphbench.centrality.measure_stack`,
-    and its ``timings`` entry is the call's time divided by the stack size;
-    the statistics then run once over the stack's scores. An error in any
-    measure or statistic is recorded on every sample of the stack."""
+    on arrays the stack builds once for all of them, and its ``timings``
+    entry is the call's time divided by the stack size; the statistics
+    then run once over the stack's scores, and the records are filled
+    from their rows as Python lists. An error in any measure or statistic
+    is recorded on every sample of the stack."""
     results, graphs = stack
     if graphs is None:
         (result,) = results
@@ -367,8 +370,8 @@ def _run_stack(stack, *, metrics, max_retries: int, keep_vectors: bool) -> list[
         except Exception as exc:  # failures are recorded, never fatal to the run
             result.error = _error_text(exc)
             return results
-        graphs = [g]
-    n = graphs[0].n
+        graphs = GraphStack([g])
+    n = graphs.n
     scores = np.empty((len(results), len(metrics), n))
     try:
         for j, m in enumerate(metrics):
@@ -383,22 +386,21 @@ def _run_stack(stack, *, metrics, max_retries: int, keep_vectors: bool) -> list[
         for result in results:
             result.error = _error_text(exc)
         return results
-    pairs = [(_pair(a, b), ia, ib)
-             for (ia, a), (ib, b) in itertools.combinations(enumerate(metrics), 2)]
-    for result, row, sample_tau, sample_scores in zip(results, counts.tolist(), tau, scores):
-        for m, count in zip(metrics, row):
-            result.distinct_counts[m] = count
-            result.granularity[m] = 100.0 * count / n
-        for key, ia, ib in pairs:
-            result.tau[key] = float(sample_tau[ia, ib])
-        if keep_vectors:
-            result.vectors = dict(zip(metrics, sample_scores.tolist()))
+    pair_keys = [_pair(a, b) for a, b in itertools.combinations(metrics, 2)]
+    upper = np.triu_indices(len(metrics), 1)  # the pairs in combinations order
+    for result, row, taus in zip(results, counts.tolist(), tau[:, upper[0], upper[1]].tolist()):
+        result.distinct_counts = dict(zip(metrics, row))
+        result.granularity = {m: 100.0 * count / n for m, count in zip(metrics, row)}
+        result.tau = dict(zip(pair_keys, taus))
+    if keep_vectors:
+        for result, sample_scores in zip(results, scores.tolist()):
+            result.vectors = dict(zip(metrics, sample_scores))
     return results
 
 
-def _build_stacks(plan: ExperimentPlan) -> list[tuple[list[RunResult], list[Graph] | None]]:
+def _build_stacks(plan: ExperimentPlan) -> list[tuple[list[RunResult], GraphStack | None]]:
     """The plan's stacks in canonical order: one per census cell, holding
-    its identity-only records and the graphs the census built, and one per
+    its identity-only records and the stack the census built, and one per
     sample drawn from a model, whose graphs are None."""
     stacks = []
     for cell in plan.cells:
@@ -596,16 +598,16 @@ def _tau_buckets(results) -> dict[str, list[float]]:
     return buckets
 
 
+def _pair_means(buckets) -> dict[str, float]:
+    return {key: float(np.mean(values)) for key, values in buckets.items()}
+
+
 def correlation_matrix(results) -> dict[str, float]:
     """Pooled mean tau-b per pair key ``"a|b"`` over all successful results."""
-    return {
-        key: float(np.mean(values))
-        for key, values in _tau_buckets(_ok(results)).items()
-    }
+    return _pair_means(_tau_buckets(_ok(results)))
 
 
-def _correlation_csv(good) -> str:
-    means = correlation_matrix(good)
+def _correlation_csv(means) -> str:
     header = "metric," + ",".join(SHORT_LABELS[m] for m in CORRELATION_ORDER)
     lines = [header]
     for i, row in enumerate(CORRELATION_ORDER):
@@ -673,8 +675,7 @@ def _granularity_by_size_csv(good, confidence) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _best_csv(good) -> str:
-    by_family = _groups(good, lambda r: r.model)
+def _best_csv(by_family) -> str:
     header = "metric," + ",".join(FAMILY_LABELS[f] for f in FAMILY_ORDER)
     percents: dict[str, dict[str, float]] = {}
     for family, members in by_family.items():
@@ -693,13 +694,12 @@ def _best_csv(good) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _correlation_by_model_csv(good, confidence) -> str:
-    by_family = _groups(good, lambda r: r.model)
+def _correlation_by_model_csv(family_buckets, confidence) -> str:
     lines = ["model,pair,mean_tau,count,ci_half_width"]
     for family in FAMILY_ORDER:
-        if family not in by_family:
+        if family not in family_buckets:
             continue
-        buckets = _tau_buckets(by_family[family])
+        buckets = family_buckets[family]
         for a, b in itertools.combinations(CORRELATION_ORDER, 2):
             values = buckets.get(_pair(a, b))
             if not values:
@@ -717,12 +717,17 @@ def write_all_tables(results, out_dir, confidence: float = _DEFAULT_CONFIDENCE) 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     good = _ok(results)
+    by_family = _groups(good, lambda r: r.model)
+    family_buckets = {family: _tau_buckets(members) for family, members in by_family.items()}
+    # One family holds every good result in order, so its buckets are the pooled ones.
+    pooled = (next(iter(family_buckets.values())) if len(family_buckets) == 1
+              else _tau_buckets(good))
     content = {
-        "correlation": _correlation_csv(good),
-        "correlation_by_model": _correlation_by_model_csv(good, confidence),
+        "correlation": _correlation_csv(_pair_means(pooled)),
+        "correlation_by_model": _correlation_by_model_csv(family_buckets, confidence),
         "granularity": _granularity_csv(good, confidence),
         "granularity_by_size": _granularity_by_size_csv(good, confidence),
-        "best": _best_csv(good),
+        "best": _best_csv(by_family),
     }
     paths = {}
     for name, text in content.items():

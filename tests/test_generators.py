@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import bf_is_isomorphic
+from oracles import bf_bfs, bf_is_isomorphic, neighbor_lists
 
 from graphbench import (
     GenerationError,
@@ -28,9 +28,11 @@ from graphbench import (
 )
 from graphbench.generators import (
     DEFAULT_MAX_RETRIES,
+    _class_bits,
     grid_pair_probabilities,
     kronecker_pair_probabilities,
 )
+from graphbench.graphs import UNREACHABLE, Graph, _all_pairs_bfs, _graph6_pairs
 
 
 class TestSeeds:
@@ -361,9 +363,43 @@ class TestCensus:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_census_graphs_carry_connectivity(self, n):
-        # The census decides connectivity by Graph.connected, so the measures'
-        # guard reads the cached value instead of running its own BFS.
-        assert all("connected" in vars(g) for g in enumerate_connected_nonisomorphic(n))
+        # The census decides connectivity for the whole stack, so the
+        # measures' guard reads the cached value instead of running a BFS.
+        census = enumerate_connected_nonisomorphic(n)
+        assert census.connected.all()
+        for g in census:
+            assert {"connected", "adjacency_matrix", "geodesics"} <= vars(g).keys()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_stacked_bfs_decides_connectivity(self, n):
+        # Every class code, connected or not: the stacked BFS reaches all
+        # vertices exactly when Graph.connected holds, and its distances and
+        # path counts are a plain per-source BFS's.
+        fresh = [Graph(n, _graph6_pairs(n)[b]) for b in _class_bits(n)]
+        adjacency = np.stack([g.adjacency_matrix for g in fresh])
+        geo = _all_pairs_bfs(adjacency, adjacency.shape)
+        for g, dist, sigma in zip(fresh, geo.dist, geo.sigma):
+            assert bool((dist != UNREACHABLE).all()) == g.connected, g.edges
+            adj = neighbor_lists(g)
+            for s in range(n):
+                expected_dist, expected_sigma = bf_bfs(adj, s)
+                assert np.array_equal(dist[s], expected_dist)
+                assert np.array_equal(sigma[s], expected_sigma)
+        # The census keeps exactly the connected classes, in code order, each
+        # with the stacked geodesics of its own BFS.
+        census = enumerate_connected_nonisomorphic(n)
+        kept = [g for g in fresh if g.connected]
+        assert list(census) == kept
+        for i, (g, ref) in enumerate(zip(census, kept)):
+            ref_geo = bfs_all_pairs(Graph(n, ref.edges))
+            for stacked in (g.geodesics, bfs_all_pairs(g)):
+                assert np.array_equal(stacked.dist, ref_geo.dist)
+                assert np.array_equal(stacked.sigma, ref_geo.sigma)
+            assert np.array_equal(census.geodesics.dist[i], ref_geo.dist)
+            assert np.array_equal(census.geodesics.sigma[i], ref_geo.sigma)
+            assert np.array_equal(census.adjacency[i], ref.adjacency_matrix)
+            assert np.array_equal(census.edges[i, : g.m], ref.edges)
+            assert not census.edges[i, g.m :].any()
 
     @pytest.mark.parametrize("n, digest", [
         (5, "0e90fd086c9d638cd8fdc133931d35474b837a0a953beae89ae1015692920f61"),

@@ -87,6 +87,59 @@ class TestSolve:
             assert residual <= 1e-9
 
 
+class TestInvertStack:
+    """``invert`` on a ``(k, n, n)`` stack: one check of the whole stack,
+    one LU factorization and solve per matrix."""
+
+    @staticmethod
+    def _random_stack(k, order, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((k, order, order)) + order * np.eye(order)
+
+    def test_each_inverse_is_that_of_its_matrix_alone(self, corpus7):
+        census = np.stack([_information_matrix(g) for g in corpus7])
+        grounded = np.stack([np.diag(g.degrees.astype(float)) - g.adjacency_matrix
+                             for g in corpus7])[:, :-1, :-1]
+        for stack in (self._random_stack(5, 60, 2), census, grounded):
+            inverses = invert(stack)
+            assert inverses.shape == stack.shape
+            for a, x in zip(stack, inverses):
+                alone = invert(a)
+                # Same bits, and the same Fortran layout that later row sums read.
+                assert x.tobytes() == alone.tobytes()
+                assert x.flags.f_contiguous and alone.flags.f_contiguous
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_singular_matrix_at_any_position_rejected(self, position):
+        for singular in (np.ones((3, 3)), np.diag([1.0, 1.0, 1e-14])):
+            stack = self._random_stack(4, 3, position)
+            stack[position] = singular
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SingularMatrixError):
+                    invert(stack)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        stack = self._random_stack(3, 4, 5)
+        stack[2, 1, 3] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            invert(stack)
+
+    def test_matrix_contract_kept(self):
+        for a in self._random_stack(3, 50, 7):
+            x = invert(a)
+            assert x.shape == a.shape and x.flags.f_contiguous
+            assert x.tobytes() == _scipy_inverse(a).tobytes()
+            assert x.tobytes() == invert(a[None])[0].tobytes()
+
+    def test_stack_left_unchanged(self):
+        stack = self._random_stack(3, 6, 11)
+        before = stack.copy()
+        invert(stack)
+        assert np.array_equal(stack, before)
+
+
 class TestSymEigen:
     def test_diagonal(self):
         w, v = sym_eigen(np.diag([3.0, 1.0, 2.0]))
