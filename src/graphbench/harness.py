@@ -495,11 +495,10 @@ def run_experiment(
     (out_dir / "manifest.json").write_text(
         json.dumps(_manifest(plan), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True)
     for result in results:
         name = _record_name(result.cell_index, result.sample_index)
-        (samples_dir / name).write_text(
-            json.dumps(result.to_dict(), sort_keys=True) + "\n", encoding="utf-8"
-        )
+        (samples_dir / name).write_text(encode(result.to_dict()) + "\n", encoding="utf-8")
     if any(result.error is None for result in results):
         write_all_tables(results, out_dir, confidence=plan.confidence)
     return results
