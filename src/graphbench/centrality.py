@@ -26,9 +26,11 @@ stacked distances, information and walk betweenness take one stacked
 :func:`~graphbench.linalg.invert`, eigenvector one ``np.matmul`` per power
 iteration, subgraph one stacked ``eigh``. The stack builds its adjacency,
 degrees and geodesics once and shares them among all eight kernels; a
-stack of one takes them from its graph as views, and a lone CSR graph
-keeps its sparse betweenness product. Every row is bit for bit that of
-its stack of one. :func:`measure_stack` checks a stack once;
+stack of one takes them from its graph as views. Betweenness multiplies a
+lone CSR graph (:attr:`~graphbench.graphs.Graph.adjacency_operator`)
+sparsely and every larger stack densely, so every row of a stack of dense
+graphs, the census included, is bit for bit that of its stack of one.
+:func:`measure_stack` checks a stack once;
 :func:`compute_measure` and the eight per-graph functions are its stack
 of one.
 
@@ -46,7 +48,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .graphs import Graph, GraphStack
-from .graphs import bfs_all_pairs, is_connected  # perfbench/tracing.py wraps them here
+from .graphs import bfs_all_pairs, is_connected  # named here by perfbench/tracing.py's TARGETS
 from .linalg import invert, sym_eigen
 
 SHORT_LABELS = {
@@ -343,11 +345,12 @@ MEASURES = tuple(_TABLE)  # in name order
 def measure_stack(graphs, measure: str) -> np.ndarray:
     """The ``(k, n)`` scores of ``measure`` for k graphs on one vertex count,
     given as a :class:`~graphbench.graphs.GraphStack` or any sequence of
-    graphs, each row bit for bit that of its stack of one. The stack's
-    adjacency, degrees and geodesics are built once, on its first measure
-    that needs them, and every check runs once per stack: one vertex
-    count, connectivity where the measure needs it, enough vertices, and
-    finite, non-negative scores."""
+    graphs. Each row of a dense graph is bit for bit that of its stack of
+    one; in a larger stack a CSR graph's betweenness rounds as a dense
+    product does. The stack's adjacency, degrees and geodesics are built
+    once, on its first measure that needs them, and every check runs once
+    per stack: one vertex count, connectivity where the measure needs it,
+    enough vertices, and finite, non-negative scores."""
     try:
         spec = _TABLE[measure]
     except KeyError:

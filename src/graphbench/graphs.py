@@ -265,15 +265,14 @@ class GraphStack(tuple):
     already known. ``GraphStack(stack)`` is ``stack``.
     """
 
-    def __new__(cls, graphs, **known):
-        if type(graphs) is cls and not known:
+    def __new__(cls, graphs):
+        if type(graphs) is cls:
             return graphs
         self = super().__new__(cls, graphs)
         sizes = {g.n for g in self}
         if len(sizes) != 1:
             raise ValueError("a stack needs at least one graph, all on one vertex count")
         (self.n,) = sizes
-        vars(self).update(known)
         return self
 
     @cached_property
@@ -354,9 +353,10 @@ def connected_stack(n: int, bits: np.ndarray) -> GraphStack:
         vars(g).update(connected=True, adjacency_matrix=a,
                        geodesics=GeodesicData(dist=d, sigma=s))
         graphs.append(g)
-    return GraphStack(graphs, adjacency=adjacency,
-                      geodesics=GeodesicData(dist=dist, sigma=sigma),
-                      connected=np.ones(len(graphs), dtype=bool), edges=edges)
+    stack = GraphStack(graphs)
+    vars(stack).update(adjacency=adjacency, geodesics=GeodesicData(dist=dist, sigma=sigma),
+                       connected=np.ones(len(graphs), dtype=bool), edges=edges)
+    return stack
 
 
 def bfs_all_pairs(g: Graph) -> GeodesicData:

@@ -4,7 +4,8 @@ Thin contracts over LAPACK: the one inverse, of a matrix or of each matrix
 of a stack, goes through an LU factorization with partial pivoting so that
 numerically rank-deficient matrices are rejected by an explicit pivot
 threshold, and symmetric eigendecomposition returns eigenvalues in
-non-decreasing order with orthonormal vectors. Matrices are plain float64 ``numpy.ndarray`` values.
+non-decreasing order with orthonormal vectors. Matrices are plain float64
+``numpy.ndarray`` values.
 
 The inverse calls LAPACK ``dgetrf``/``dgetrs`` directly, the routines that
 ``scipy.linalg.lu_factor``/``lu_solve`` wrap, so it matches their solve
