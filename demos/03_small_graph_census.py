@@ -11,14 +11,13 @@ percentages sum above 100).
 import numpy as np
 
 from graphbench import (
-    all_measures,
     best_granularity_tally,
     distinct_count,
     enumerate_connected_nonisomorphic,
     format_graph6,
     granularity,
 )
-from graphbench.centrality import MEASURES, SHORT_LABELS
+from graphbench.centrality import MEASURES, SHORT_LABELS, measure_stack
 
 for n in range(1, 7):
     graphs = enumerate_connected_nonisomorphic(n)
@@ -26,13 +25,11 @@ for n in range(1, 7):
     print(f"n={n}: {len(graphs):3d} classes   first records: {sample}")
 
 print("\ngranularity over the 112 six-vertex classes:")
-percent = {m: [] for m in MEASURES}
-counts = []
-for g in enumerate_connected_nonisomorphic(6):
-    vectors = all_measures(g)
-    counts.append({m: distinct_count(vectors[m].values) for m in MEASURES})
-    for m in MEASURES:
-        percent[m].append(granularity(vectors[m].values))
+# Each measure scores the whole census in one call, one row per class.
+census = enumerate_connected_nonisomorphic(6)
+scores = {m: measure_stack(census, m) for m in MEASURES}
+percent = {m: [granularity(row) for row in scores[m]] for m in MEASURES}
+counts = [{m: distinct_count(scores[m][i]) for m in MEASURES} for i in range(len(census))]
 
 best = best_granularity_tally(counts)
 print(f"{'metric':20s} {'mean % distinct':>16s} {'% of graphs best':>18s}")

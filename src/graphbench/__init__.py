@@ -17,15 +17,8 @@ from .linalg import SingularMatrixError, invert, sym_eigen
 from .centrality import (
     DisconnectedGraphError,
     all_measures,
-    betweenness,
     centrality_csv,
-    closeness,
-    degree,
-    eccentricity,
-    eigenvector,
-    information,
-    subgraph,
-    walk_betweenness,
+    compute_measure,
 )
 from .generators import (
     GenerationError,

@@ -31,8 +31,8 @@ lone CSR graph (:attr:`~graphbench.graphs.Graph.adjacency_operator`)
 sparsely and every larger stack densely, so every row of a stack of dense
 graphs, the census included, is bit for bit that of its stack of one.
 :func:`measure_stack` checks a stack once;
-:func:`compute_measure` and the eight per-graph functions are its stack
-of one.
+:func:`compute_measure` and :func:`all_measures` score one graph as its
+stack of one.
 
 ``betweenness``, ``closeness``, ``eccentricity``, ``eigenvector``,
 ``information`` and ``walk_betweenness`` raise
@@ -79,10 +79,9 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class CentralityVector:
-    """Per-vertex scores of one named measure, index-aligned with the graph;
+    """Per-vertex scores of one measure, index-aligned with the graph;
     built by :func:`compute_measure` from scores it has checked."""
 
-    measure: str
     values: np.ndarray
 
     def __post_init__(self):
@@ -101,16 +100,6 @@ class PowerIterationState:
     iterate: np.ndarray
     iterations: np.ndarray
     last_delta: np.ndarray
-
-
-def _checked(measure: str, values) -> np.ndarray:
-    """``values`` as a float array; a non-finite or negative score raises."""
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{measure}: non-finite centrality value")
-    if values.size and values.min() < 0:
-        raise ValueError(f"{measure}: negative centrality value")
-    return values
 
 
 def _degree(st: GraphStack) -> np.ndarray:
@@ -360,44 +349,17 @@ def measure_stack(graphs, measure: str) -> np.ndarray:
         raise DisconnectedGraphError(f"{measure} requires a connected graph")
     if stack.n < spec.min_n:
         raise ValueError(f"{measure} is undefined for a single vertex")
-    return _checked(measure, spec.kernel(stack))
+    scores = np.asarray(spec.kernel(stack), dtype=float)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError(f"{measure}: non-finite centrality value")
+    if scores.size and scores.min() < 0:
+        raise ValueError(f"{measure}: negative centrality value")
+    return scores
 
 
 def compute_measure(g: Graph, measure: str) -> CentralityVector:
     """:func:`measure_stack` of the stack of one."""
-    return CentralityVector(measure, measure_stack([g], measure)[0])
-
-
-def betweenness(g: Graph) -> CentralityVector:
-    return compute_measure(g, "betweenness")
-
-
-def closeness(g: Graph) -> CentralityVector:
-    return compute_measure(g, "closeness")
-
-
-def degree(g: Graph) -> CentralityVector:
-    return compute_measure(g, "degree")
-
-
-def eccentricity(g: Graph) -> CentralityVector:
-    return compute_measure(g, "eccentricity")
-
-
-def eigenvector(g: Graph) -> CentralityVector:
-    return compute_measure(g, "eigenvector")
-
-
-def information(g: Graph) -> CentralityVector:
-    return compute_measure(g, "information")
-
-
-def subgraph(g: Graph) -> CentralityVector:
-    return compute_measure(g, "subgraph")
-
-
-def walk_betweenness(g: Graph) -> CentralityVector:
-    return compute_measure(g, "walk_betweenness")
+    return CentralityVector(measure_stack([g], measure)[0])
 
 
 def all_measures(g: Graph) -> dict[str, CentralityVector]:

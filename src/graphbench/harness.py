@@ -422,7 +422,11 @@ def _build_stacks(plan: ExperimentPlan) -> list[tuple[list[RunResult], GraphStac
     return stacks
 
 
-def _manifest(plan: ExperimentPlan) -> dict:
+def _manifest(plan: ExperimentPlan, results: list[RunResult]) -> dict:
+    """The plan, with each cell's seeds read from its planned records."""
+    seeds = {cell.index: [] for cell in plan.cells}
+    for result in results:
+        seeds[result.cell_index].append(result.seed)
     return {
         "base_seed": plan.base_seed,
         "metrics": list(plan.metrics),
@@ -446,7 +450,7 @@ def _manifest(plan: ExperimentPlan) -> dict:
                 "n": cell.n,
                 "params": cell.params_dict(),
                 "samples": cell.samples,
-                "seeds": [plan.sample_seed(cell, s) for s in range(cell.samples)],
+                "seeds": seeds[cell.index],
             }
             for cell in plan.cells
         ],
@@ -493,7 +497,7 @@ def run_experiment(
     for stale in [*samples_dir.glob("cell*_s*.json"), *tables, out_dir / HEATMAP_FILE]:
         stale.unlink(missing_ok=True)
     (out_dir / "manifest.json").write_text(
-        json.dumps(_manifest(plan), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(_manifest(plan, results), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True)
     for result in results:

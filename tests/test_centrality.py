@@ -24,23 +24,15 @@ from graphbench import (
     Graph,
     DisconnectedGraphError,
     all_measures,
-    betweenness,
     centrality_csv,
-    closeness,
-    degree,
-    eccentricity,
-    eigenvector,
+    compute_measure,
     erdos_renyi,
-    information,
-    subgraph,
     sym_eigen,
-    walk_betweenness,
 )
 from graphbench import centrality
 from graphbench.centrality import (
     MEASURES,
     ConvergenceError,
-    compute_measure,
     measure_stack,
     power_iteration,
 )
@@ -82,59 +74,61 @@ def _connected_with_edges(n, m, seed):
 
 class TestDegree:
     def test_examples(self):
-        assert np.array_equal(degree(K3).values, [2, 2, 2])
-        assert np.array_equal(degree(P3).values, [1, 2, 1])
-        assert np.array_equal(degree(STAR5).values, [4, 1, 1, 1, 1])
+        assert np.array_equal(compute_measure(K3, "degree").values, [2, 2, 2])
+        assert np.array_equal(compute_measure(P3, "degree").values, [1, 2, 1])
+        assert np.array_equal(compute_measure(STAR5, "degree").values, [4, 1, 1, 1, 1])
 
 
 class TestCloseness:
     def test_examples(self):
-        assert np.allclose(closeness(K3).values, [0.5, 0.5, 0.5])
-        assert np.allclose(closeness(P3).values, [1 / 3, 1 / 2, 1 / 3])
-        assert np.allclose(closeness(P4).values, [1 / 6, 1 / 4, 1 / 4, 1 / 6])
+        assert np.allclose(compute_measure(K3, "closeness").values, [0.5, 0.5, 0.5])
+        assert np.allclose(compute_measure(P3, "closeness").values, [1 / 3, 1 / 2, 1 / 3])
+        assert np.allclose(compute_measure(P4, "closeness").values, [1 / 6, 1 / 4, 1 / 4, 1 / 6])
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
-            closeness(Graph(3, [(0, 1)]))
+            compute_measure(Graph(3, [(0, 1)]), "closeness")
 
 
 class TestEccentricity:
     def test_examples(self):
-        assert np.allclose(eccentricity(K3).values, [1, 1, 1])
-        assert np.allclose(eccentricity(P3).values, [0.5, 1.0, 0.5])
-        assert np.allclose(eccentricity(_cycle(5)).values, 0.5)
+        assert np.allclose(compute_measure(K3, "eccentricity").values, [1, 1, 1])
+        assert np.allclose(compute_measure(P3, "eccentricity").values, [0.5, 1.0, 0.5])
+        assert np.allclose(compute_measure(_cycle(5), "eccentricity").values, 0.5)
 
     def test_single_vertex_rejected(self):
         with pytest.raises(ValueError):
-            eccentricity(Graph(1))
+            compute_measure(Graph(1), "eccentricity")
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
-            eccentricity(Graph(3, [(0, 1)]))
+            compute_measure(Graph(3, [(0, 1)]), "eccentricity")
 
 
 class TestBetweenness:
     def test_examples(self):
-        assert np.allclose(betweenness(_complete(5)).values, 0.0)
-        assert np.allclose(betweenness(P3).values, [0, 1, 0])
-        assert np.allclose(betweenness(STAR4).values, [3, 0, 0, 0])
+        assert np.allclose(compute_measure(_complete(5), "betweenness").values, 0.0)
+        assert np.allclose(compute_measure(P3, "betweenness").values, [0, 1, 0])
+        assert np.allclose(compute_measure(STAR4, "betweenness").values, [3, 0, 0, 0])
 
     def test_matches_geodesic_enumeration(self, corpus_small):
         for g in corpus_small:
-            assert np.max(np.abs(betweenness(g).values - bf_betweenness(g))) <= 1e-9
+            values = compute_measure(g, "betweenness").values
+            assert np.max(np.abs(values - bf_betweenness(g))) <= 1e-9
 
     def test_matches_oracle_on_random_graphs(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
             g = _random_connected(int(rng.integers(5, 20)), 0.35, int(rng.integers(1e6)))
-            assert np.max(np.abs(betweenness(g).values - bf_betweenness(g))) <= 1e-9
+            values = compute_measure(g, "betweenness").values
+            assert np.max(np.abs(values - bf_betweenness(g))) <= 1e-9
 
     @pytest.mark.parametrize("spec", DENSITY_CUT_SAMPLES, ids=sample_id)
     def test_matches_dense_kernel(self, spec):
         # The dense branch repeats the kernel's products; the CSR branch
         # sums each product in CSR order instead of BLAS order.
         g = seeded_sample(*spec)
-        values, expected = betweenness(g).values, dense_betweenness(g)
+        values, expected = compute_measure(g, "betweenness").values, dense_betweenness(g)
         if g.adjacency_operator is g.adjacency_matrix:
             assert np.array_equal(values, expected)
         else:
@@ -142,21 +136,21 @@ class TestBetweenness:
 
     def test_census_bit_identical_to_dense_kernel(self, corpus6, corpus7):
         for g in corpus6 + corpus7:
-            assert np.array_equal(betweenness(g).values, dense_betweenness(g))
+            assert np.array_equal(compute_measure(g, "betweenness").values, dense_betweenness(g))
 
 
 class TestEigenvector:
     def test_uniform_on_complete(self):
-        assert np.allclose(eigenvector(_complete(6)).values, 1.0)
+        assert np.allclose(compute_measure(_complete(6), "eigenvector").values, 1.0)
 
     def test_star_center_dominates(self):
-        values = eigenvector(STAR4).values
+        values = compute_measure(STAR4, "eigenvector").values
         assert values[0] > values[1]
         assert np.allclose(values[1:], values[1])
 
     def test_matches_dense_eigensolver(self):
         for g in (P3, P4, K3, STAR5, _cycle(7)):
-            values = eigenvector(g).values
+            values = compute_measure(g, "eigenvector").values
             _, vecs = sym_eigen(g.adjacency_matrix + np.eye(g.n))
             dominant = np.abs(vecs[:, -1])
             dominant /= dominant.max()
@@ -171,17 +165,17 @@ class TestEigenvector:
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(centrality, "POWER_ITERATION_CAP", 1)
         with pytest.raises(ConvergenceError, match="within 1 iterations"):
-            eigenvector(P4)
+            compute_measure(P4, "eigenvector")
 
 
 class TestInformation:
     def test_vertex_transitive_constant(self):
         for g in (K3, _cycle(4)):
-            values = information(g).values
+            values = compute_measure(g, "information").values
             assert np.allclose(values, values[0])
 
     def test_path_hand_inversion(self):
-        assert np.max(np.abs(information(P3).values - [1.0, 1.5, 1.0])) <= 1e-9
+        assert np.max(np.abs(compute_measure(P3, "information").values - [1.0, 1.5, 1.0])) <= 1e-9
 
     def test_row_sums_constant(self, corpus_small):
         for g in corpus_small:
@@ -205,19 +199,19 @@ class TestInformation:
 
         monkeypatch.setattr(centrality, "invert", perturbed)
         with pytest.raises(ArithmeticError, match="row sums"):
-            information(P4)
+            compute_measure(P4, "information")
 
 
 class TestSubgraph:
     def test_single_vertex(self):
-        assert np.allclose(subgraph(Graph(1)).values, [1.0])
+        assert np.allclose(compute_measure(Graph(1), "subgraph").values, [1.0])
 
     def test_edge_is_cosh_one(self):
-        values = subgraph(Graph(2, [(0, 1)])).values
+        values = compute_measure(Graph(2, [(0, 1)]), "subgraph").values
         assert np.max(np.abs(values - np.cosh(1.0))) <= 1e-12
 
     def test_path_ordering_and_series_oracle(self):
-        values = subgraph(P3).values
+        values = compute_measure(P3, "subgraph").values
         series = bf_subgraph_series(P3)
         assert values[1] > values[0]
         assert values[0] == pytest.approx(values[2], abs=1e-12)
@@ -225,11 +219,12 @@ class TestSubgraph:
 
     def test_series_oracle_on_corpus(self, corpus_small):
         for g in corpus_small:
-            assert np.max(np.abs(subgraph(g).values - bf_subgraph_series(g))) <= 1e-8
+            values = compute_measure(g, "subgraph").values
+            assert np.max(np.abs(values - bf_subgraph_series(g))) <= 1e-8
 
     def test_at_least_one_and_trace_identity(self, corpus_small):
         for g in corpus_small:
-            values = subgraph(g).values
+            values = compute_measure(g, "subgraph").values
             lam, _ = sym_eigen(g.adjacency_matrix)
             assert np.all(values >= 1.0 - 1e-12)
             assert values.sum() == pytest.approx(np.exp(lam).sum(), abs=1e-8)
@@ -390,28 +385,29 @@ class TestStacks:
 
 class TestWalkBetweenness:
     def test_path(self):
-        assert np.max(np.abs(walk_betweenness(P3).values - [2, 3, 2])) <= 1e-9
+        assert np.max(np.abs(compute_measure(P3, "walk_betweenness").values - [2, 3, 2])) <= 1e-9
 
     def test_triangle(self):
-        assert np.max(np.abs(walk_betweenness(K3).values - (2 + 1 / 3))) <= 1e-9
+        assert np.max(np.abs(compute_measure(K3, "walk_betweenness").values - (2 + 1 / 3))) <= 1e-9
 
     def test_matches_per_pair_current_solve(self, corpus_small):
         for g in corpus_small:
             if g.n < 2:
                 continue
-            mine = walk_betweenness(g).values
+            mine = compute_measure(g, "walk_betweenness").values
             assert np.max(np.abs(mine - bf_walk_betweenness(g))) <= 1e-8
 
     def test_tree_identity(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
             tree = random_tree(int(rng.integers(2, 40)), rng)
-            offset = walk_betweenness(tree).values - betweenness(tree).values
+            offset = (compute_measure(tree, "walk_betweenness").values
+                      - compute_measure(tree, "betweenness").values)
             assert np.max(np.abs(offset - (tree.n - 1))) <= 1e-6
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
-            walk_betweenness(Graph(3, [(0, 1)]))
+            compute_measure(Graph(3, [(0, 1)]), "walk_betweenness")
 
     # Edge counts inside one row block, with a one-row last block (385,
     # 2049, 2177), a full chunk (2048) and more than two chunks (4500).
@@ -422,7 +418,8 @@ class TestWalkBetweenness:
     def test_bit_identical_to_unblocked_kernel(self, n, m):
         g = _connected_with_edges(n, m, seed=0)
         assert g.m == m
-        assert np.array_equal(walk_betweenness(g).values, unblocked_walk_betweenness(g))
+        values = compute_measure(g, "walk_betweenness").values
+        assert np.array_equal(values, unblocked_walk_betweenness(g))
 
 
 # One seeded sample per generated model at n = 30, 100, 200 (geographical
@@ -458,7 +455,7 @@ class TestNetworkx:
         nx, g, h = self._pair(spec)
         ref = nx.betweenness_centrality(h, normalized=False)
         expected = np.array([ref[v] for v in range(g.n)])
-        assert np.max(np.abs(betweenness(g).values - expected)
+        assert np.max(np.abs(compute_measure(g, "betweenness").values - expected)
                       / expected.clip(min=1.0)) <= 1e-12
 
     @pytest.mark.parametrize("spec", NETWORKX_SAMPLES, ids=sample_id)
@@ -466,14 +463,14 @@ class TestNetworkx:
         nx, g, h = self._pair(spec)
         ref = nx.closeness_centrality(h)
         expected = np.array([ref[v] for v in range(g.n)]) / (g.n - 1)
-        assert np.allclose(closeness(g).values, expected, rtol=1e-12, atol=0.0)
+        assert np.allclose(compute_measure(g, "closeness").values, expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("spec", NETWORKX_SAMPLES, ids=sample_id)
     def test_eccentricity(self, spec):
         nx, g, h = self._pair(spec)
         ref = nx.eccentricity(h)
         expected = 1.0 / np.array([ref[v] for v in range(g.n)])
-        assert np.array_equal(eccentricity(g).values, expected)
+        assert np.array_equal(compute_measure(g, "eccentricity").values, expected)
 
     @staticmethod
     def _values(ref, g):
@@ -483,20 +480,22 @@ class TestNetworkx:
     def test_information(self, spec):
         nx, g, h = self._pair(spec)
         expected = g.n * self._values(nx.information_centrality(h), g)
-        assert np.allclose(information(g).values, expected, rtol=1e-12, atol=0.0)
+        values = compute_measure(g, "information").values
+        assert np.allclose(values, expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("spec", NETWORKX_SAMPLES, ids=sample_id)
     def test_walk_betweenness(self, spec):
         nx, g, h = self._pair(spec)
         ref = nx.current_flow_betweenness_centrality(h, normalized=False)
         expected = self._values(ref, g) + (g.n - 1)
-        assert np.allclose(walk_betweenness(g).values, expected, rtol=1e-12, atol=0.0)
+        values = compute_measure(g, "walk_betweenness").values
+        assert np.allclose(values, expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("spec", NETWORKX_SAMPLES, ids=sample_id)
     def test_subgraph(self, spec):
         nx, g, h = self._pair(spec)
         expected = self._values(nx.subgraph_centrality(h), g)
-        assert np.allclose(subgraph(g).values, expected, rtol=1e-12, atol=0.0)
+        assert np.allclose(compute_measure(g, "subgraph").values, expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("spec", NETWORKX_SAMPLES, ids=sample_id)
     def test_eigenvector(self, spec):
@@ -505,7 +504,7 @@ class TestNetworkx:
         nx, g, h = self._pair(spec)
         expected = self._values(nx.eigenvector_centrality_numpy(h), g)
         expected /= expected.max()
-        assert np.max(np.abs(eigenvector(g).values - expected)) <= 1e-8
+        assert np.max(np.abs(compute_measure(g, "eigenvector").values - expected)) <= 1e-8
 
 
 class TestInvariants:
@@ -527,25 +526,49 @@ class TestInvariants:
 
     def test_measures_reject_disconnected(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        for func in (closeness, eccentricity, betweenness, eigenvector, information,
-                     walk_betweenness):
+        for name in ("closeness", "eccentricity", "betweenness", "eigenvector",
+                     "information", "walk_betweenness"):
             with pytest.raises(DisconnectedGraphError):
-                func(g)
-        assert np.array_equal(degree(g).values, [1, 1, 1, 1])
-        assert np.allclose(subgraph(g).values, np.cosh(1.0), rtol=1e-12, atol=0.0)
+                compute_measure(g, name)
+        assert np.array_equal(compute_measure(g, "degree").values, [1, 1, 1, 1])
+        values = compute_measure(g, "subgraph").values
+        assert np.allclose(values, np.cosh(1.0), rtol=1e-12, atol=0.0)
 
     def test_single_vertex_rule(self):
         g = Graph(1)
-        for func in (closeness, eccentricity, information, walk_betweenness):
+        for name in ("closeness", "eccentricity", "information", "walk_betweenness"):
             with pytest.raises(ValueError, match="undefined for a single vertex"):
-                func(g)
-        for func, expected in ((betweenness, 0.0), (degree, 0.0), (eigenvector, 1.0),
-                               (subgraph, 1.0)):
-            assert func(g).values.tolist() == [expected]
+                compute_measure(g, name)
+        for name, expected in (("betweenness", 0.0), ("degree", 0.0), ("eigenvector", 1.0),
+                               ("subgraph", 1.0)):
+            assert compute_measure(g, name).values.tolist() == [expected]
 
     def test_vectors_read_only(self):
         for name, vec in all_measures(P4).items():
             assert not vec.values.flags.writeable, name
+
+
+class TestComputeMeasure:
+    """``perfbench/child.py::spot_check_tau`` scores a graph through
+    ``compute_measure(g, m).values``; the benchmark's tau check rests on
+    that row being the graph's row of its stack of one."""
+
+    @pytest.fixture(scope="class", params=["census", "csr"])
+    def graph(self, request, corpus7):
+        if request.param == "census":
+            return corpus7[500]
+        g = seeded_sample("sw", 500, {"k": 4, "p": 0.1})
+        assert not isinstance(g.adjacency_operator, np.ndarray)
+        return g
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_values_are_the_stack_of_one_row(self, graph, measure):
+        values = compute_measure(graph, measure).values
+        expected = measure_stack([graph], measure)[0]
+        assert isinstance(values, np.ndarray)
+        assert values.shape == (graph.n,) and values.dtype == np.float64
+        assert not values.flags.writeable
+        assert values.tobytes() == expected.tobytes()
 
 
 class TestCsv:

@@ -1,5 +1,7 @@
-"""Every demo script runs to completion against the package in ``src``."""
+"""Every demo script runs to completion against the package in ``src`` and
+prints what it printed when its output was pinned."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,12 +12,23 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# sha256 of each demo's stdout under one BLAS thread. Every demo prints the
+# same bytes on every run, so each is pinned.
+STDOUT_SHA256 = {
+    "01_measure_tour.py": "664b6163222cb5189dfd3fa74ce48c46e38ebacd47d2c9525513ea11f8af74ac",
+    "02_model_gallery.py": "c9e1835bd783101c4b32c49ff8539b1c24421fba05f4bbf7d2e34a381eec6823",
+    "03_small_graph_census.py": "811e1d7adf85293636a38bc43c61668aa0378b452518cb8f12980eecf8cf719d",
+    "04_mini_experiment.py": "0ba6fb9b5d6a1d3b94d26da94c2b0dd69832b601cd17de798a28af2a97778eae",
+}
+
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo.name]
