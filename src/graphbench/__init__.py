@@ -44,14 +44,9 @@ from .stats import (
     kendall_tau_b,
     mean_ci,
 )
-from .harness import (
-    ConfigError,
-    correlation_matrix,
-    emit_heatmap,
-    load_results,
-    plan_experiments,
-    run_experiment,
-    write_all_tables,
-)
+from .plan import ConfigError, plan_experiments
+from .harness import run_experiment
+from .store import load_results
+from .tables import correlation_matrix, emit_heatmap, write_all_tables
 
 __version__ = "0.1.0"

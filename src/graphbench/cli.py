@@ -11,8 +11,9 @@ Subcommands::
     heatmap     render the pooled correlation matrix as an SVG
 
 Exit codes: 0 success, 1 partial sample failures, 2 configuration error,
-invalid input (such as a short or non-finite row given to ``correlate``)
-or an input too large to hold in memory.
+invalid input (such as a short or non-finite row given to ``correlate``),
+a file or directory that cannot be read or written (any ``OSError``), or
+an input too large to hold in memory.
 """
 
 from __future__ import annotations
@@ -34,19 +35,12 @@ from .generators import (
     enumerate_connected_nonisomorphic,
     generate,
 )
-from .graphs import FormatError, GraphError, format_edge_list, format_graph6, parse_edge_list
-from .harness import (
-    HEATMAP_FILE,
-    ConfigError,
-    correlation_matrix,
-    emit_heatmap,
-    load_results,
-    plan_experiments,
-    recorded_confidence,
-    run_experiment,
-    write_all_tables,
-)
+from .graphs import format_edge_list, format_graph6, parse_edge_list
+from .harness import run_experiment
+from .plan import ConfigError, plan_experiments
 from .stats import kendall_tau_b
+from .store import HEATMAP_FILE, load_results, recorded_confidence
+from .tables import correlation_matrix, emit_heatmap, write_all_tables
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -251,7 +245,7 @@ def main(argv=None) -> int:
     except GenerationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, FormatError, GraphError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass, field
 from math import isqrt
 from pathlib import Path
@@ -55,6 +56,10 @@ _MASK64 = (1 << 64) - 1
 CONNECTED_CLASS_COUNTS = (1, 1, 2, 6, 21, 112, 853)
 
 DEFAULT_MAX_RETRIES = 100
+
+# Physical memory in bytes, read once: no n x n float64 matrix larger than
+# it can be held, and every measure works on at least one.
+_PHYS_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 class GenerationError(RuntimeError):
@@ -100,9 +105,15 @@ def _probability(what: str, p: float) -> None:
 
 
 def check_size(model: str, n) -> int:
-    """``n`` when it is a whole number >= 1, the census included."""
+    """``n`` when it is a whole number >= 1, the census included, whose
+    n x n float64 matrix fits in physical memory; checked before any is allocated."""
     if type(n) is not int or n < 1:
         raise ValueError(f"model '{model}' parameter 'n' must be a whole number >= 1, got {n!r}")
+    if 8 * n * n > _PHYS_BYTES:
+        raise ValueError(
+            f"model '{model}' n={n} needs {8 * n * n:,} bytes for one n x n float64 "
+            f"matrix, more than the {_PHYS_BYTES:,} bytes of physical memory"
+        )
     return n
 
 
@@ -306,6 +317,8 @@ def load_initiators(path) -> dict[str, KroneckerInitiator]:
     must pass :func:`check_initiator` (a bool or a string is rejected, not
     converted) and is stored as a float."""
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: initiators must be a JSON object, got {type(raw).__name__}")
     out = {}
     for name, values in raw.items():
         check_initiator(values)

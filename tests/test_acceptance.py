@@ -31,7 +31,7 @@ from graphbench import (
     sym_eigen,
 )
 from graphbench.centrality import MEASURES, SHORT_LABELS
-from graphbench.harness import TABLE_FILES
+from graphbench.store import TABLE_FILES
 
 DESK_CONFIG = {
     "models": [

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -18,11 +19,12 @@ from graphbench import (
     run_experiment,
     write_all_tables,
 )
-from graphbench import centrality, cli, harness
+from graphbench import centrality, cli, generators, harness
 from graphbench.cli import main as cli_main
-from graphbench.generators import KroneckerInitiator, ModelConfig, kronecker
+from graphbench.generators import KroneckerInitiator, ModelConfig, check_size, kronecker
 from graphbench.graphs import Graph, format_edge_list
-from graphbench.harness import TABLE_FILES, RunResult, _ramp
+from graphbench.store import TABLE_FILES, RunResult
+from graphbench.tables import _ramp
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -146,10 +148,21 @@ class TestPlanning:
         ("confidence", True, "'confidence' must be a number, got True"),
         ("metrics", ["degree", "degree", "closeness"], "'metrics' lists 'degree' twice"),
         ("metrics", "degree", "'metrics' must be a list of measures, got 'degree'"),
+        ("models", "er", "'models' must be a non-empty list, got 'er'"),
+        ("output_dir", None, "'output_dir' must be a non-empty string, got None"),
+        # "" would resolve to the working directory, whose outputs a run sweeps.
+        ("output_dir", "", "'output_dir' must be a non-empty string, got ''"),
+        ("kronecker_initiators_path", 5,
+         "'kronecker_initiators_path' must be a non-empty string, got 5"),
+        ("kronecker_initiators_path", "list.json",
+         "list.json: initiators must be a JSON object, got list"),
     ], ids=["retries_0", "retries_negative", "confidence_1.5", "confidence_0",
             "confidence_1", "confidence_string", "confidence_text", "confidence_bool",
-            "metrics_repeated", "metrics_string"])
-    def test_invalid_run_settings_rejected(self, key, value, match):
+            "metrics_repeated", "metrics_string", "models_string", "output_dir_null",
+            "output_dir_empty", "initiators_path_number", "initiators_list"])
+    def test_invalid_run_settings_rejected(self, tmp_path, monkeypatch, key, value, match):
+        monkeypatch.chdir(tmp_path)
+        Path("list.json").write_text('[["a", 0.9, 0.5, 0.5, 0.1]]')
         with pytest.raises(ConfigError, match=match):
             plan_experiments({"models": [{"model": "er", "n": [5], "p": [0.5]}],
                               key: value})
@@ -168,6 +181,19 @@ class TestPlanning:
     def test_n_must_be_a_whole_number(self, n):
         with pytest.raises(ConfigError, match="parameter 'n' must be a whole number >= 1"):
             plan_experiments({"models": [{"model": "er", "n": [n], "p": [0.5]}]})
+
+    def test_n_whose_matrix_exceeds_memory_rejected(self):
+        # The largest n whose n x n float64 matrix fits in physical memory
+        # passes; one more is refused before anything is allocated.
+        fits = math.isqrt(generators._PHYS_BYTES // 8)
+        assert check_size("er", fits) == fits
+        message = re.escape(f"model 'er' n={fits + 1} needs {8 * (fits + 1) ** 2:,} bytes")
+        with pytest.raises(ValueError, match=message):
+            check_size("er", fits + 1)
+        with pytest.raises(ValueError, match=message):
+            ModelConfig("er", fits + 1, {"p": 0.1})
+        with pytest.raises(ConfigError, match=message):
+            plan_experiments({"models": [{"model": "er", "n": [fits + 1], "p": [0.1]}]})
 
     @pytest.mark.parametrize("key, value, match", [
         ("samples_per_cell", 2.5, "'samples_per_cell' must be a whole number, got 2.5"),
@@ -385,7 +411,7 @@ class TestRun:
                                       {"model": "er", "n": [30], "p": [0.3]}])
         results = run_experiment(plan_experiments(config))
         assert len(results) == 6 + 21 + 1
-        before = list(harness.MEASURES[:harness.MEASURES.index(measure)])
+        before = list(centrality.MEASURES[:centrality.MEASURES.index(measure)])
         for r in results:
             assert r.error == "ArithmeticError: no scores"
             assert r.tau == {} and r.distinct_counts == {}
@@ -395,7 +421,7 @@ class TestRun:
     def test_stacked_timings_share_the_call(self, tmp_path):
         config = _tiny_config(tmp_path / "out", models=[{"model": "nonisomorphic", "n": [5]}])
         results = run_experiment(plan_experiments(config))
-        for m in harness.MEASURES:
+        for m in centrality.MEASURES:
             assert len({r.timings[m] for r in results}) == 1, m
 
     def test_failed_cell_recorded_and_run_continues(self, tmp_path):
@@ -926,10 +952,24 @@ class TestCli:
             raise MemoryError("Unable to allocate 37.3 GiB")
 
         monkeypatch.setattr(cli, "generate", generate)
-        rc = cli_main(["generate", "--model", "er", "--n", "200000",
+        rc = cli_main(["generate", "--model", "er", "--n", "1000",
                        "--param", "p=0.1"])
         assert rc == 2
         assert "error: out of memory: Unable to allocate" in capsys.readouterr().err
+
+    def test_unwritable_output_dir_exit_code(self, tmp_path, capsys, monkeypatch):
+        def measure(*args, **kwargs):
+            raise AssertionError("a stack was measured")
+
+        monkeypatch.setattr(harness, "_run_stack", measure)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_tiny_config(blocker / "results")))
+        assert cli_main(["experiment", "--config", str(config)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "Not a directory" in errors[0]
 
     def test_config_error_exit_code(self, tmp_path):
         config = tmp_path / "config.json"

@@ -1,8 +1,11 @@
 """The benchmark's tracer (``perfbench/tracing.py``) wraps package functions
 by module and attribute name. A name that no longer resolves is reported
 absent by a traced run, whose metrics for it then read null, so every
-entry of its ``TARGETS`` must resolve here."""
+entry of its ``TARGETS`` must resolve here. The benchmark's worker
+(``perfbench/child.py``) calls functions on ``graphbench.harness``; a name
+missing there breaks every benchmark run, so each must resolve too."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+CHILD = TRACING.with_name("child.py")
 
 
 def _tracer_targets() -> dict:
@@ -29,3 +33,16 @@ def test_tracer_target_resolves(module_name, path):
         assert hasattr(holder, part), f"{module_name}.{path} does not resolve"
         holder = getattr(holder, part)
     assert callable(holder), f"{module_name}.{path} is not callable"
+
+
+def test_child_harness_reads_resolve():
+    tree = ast.parse(CHILD.read_text(encoding="utf-8"))
+    names = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "harness"
+    }
+    assert names, "child.py reads nothing on a name 'harness'"
+    harness = importlib.import_module("graphbench.harness")
+    missing = sorted(name for name in names if not callable(getattr(harness, name, None)))
+    assert not missing, f"graphbench.harness lacks {missing}, which perfbench/child.py calls"
