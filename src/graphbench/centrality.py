@@ -8,8 +8,8 @@ Every measure maps a :class:`~graphbench.graphs.Graph` to a
 * ``eccentricity``    -- reciprocal of the largest geodesic distance;
 * ``betweenness``     -- fraction of geodesics passing through the vertex
   as an interior vertex, summed over all unordered pairs;
-* ``eigenvector``     -- fixed point of power iteration with the adjacency
-  matrix plus the unit diagonal, scaled so the largest score is 1;
+* ``eigenvector``     -- the adjacency matrix's Perron vector, scaled so
+  the largest score is 1;
 * ``information``     -- reciprocal combined-resistance score built from
   ``B = (D - A + U)^-1`` where U is the all-ones matrix;
 * ``subgraph``        -- diagonal of the adjacency matrix exponential,
@@ -22,17 +22,18 @@ Each measure is a kernel over a :class:`~graphbench.graphs.GraphStack`,
 k graphs on one vertex count (:data:`_TABLE`), and every kernel takes the
 whole stack in one call: betweenness runs one ``coeff @ A`` per BFS level
 over the ``(k, n, n)`` adjacency, closeness and eccentricity reduce the
-stacked distances, information and walk betweenness take one stacked
-:func:`~graphbench.linalg.invert`, eigenvector one ``np.matmul`` per power
-iteration, subgraph one stacked ``eigh``. The stack builds its adjacency,
-degrees and geodesics once and shares them among all eight kernels; a
+stacked distances. Each graph is factored once each way, and the factors
+are kept on the stack: one stacked :func:`invert` gives B to
+information and walk betweenness, one stacked :func:`sym_eigen` of the
+adjacency gives subgraph and eigenvector their eigenpairs. The stack
+builds its adjacency, degrees and geodesics once for all eight kernels; a
 stack of one takes them from its graph as views. Betweenness multiplies a
 lone CSR graph (:attr:`~graphbench.graphs.Graph.adjacency_operator`)
 sparsely and every larger stack densely, so every row of a stack of dense
 graphs, the census included, is bit for bit that of its stack of one.
-:func:`measure_stack` checks a stack once;
-:func:`compute_measure` and :func:`all_measures` score one graph as its
-stack of one.
+:func:`measure_stack` checks a stack once and stores equal scores equal
+(:data:`TIE_TOL`); :func:`compute_measure` and :func:`all_measures`
+score one graph as its stack of one.
 
 ``betweenness``, ``closeness``, ``eccentricity``, ``eigenvector``,
 ``information`` and ``walk_betweenness`` raise
@@ -62,8 +63,7 @@ SHORT_LABELS = {
     "walk_betweenness": "C_w",
 }
 
-POWER_ITERATION_TOL = 1e-12
-POWER_ITERATION_CAP = 10**6
+TIE_TOL = 1e-9
 _ROW_SUM_TOL = 1e-8
 _EDGE_CHUNK = 2048
 _ROW_BLOCK = 128
@@ -71,10 +71,6 @@ _ROW_BLOCK = 128
 
 class DisconnectedGraphError(ValueError):
     """Measure requires a connected graph."""
-
-
-class ConvergenceError(RuntimeError):
-    """Iterative computation exhausted its iteration budget."""
 
 
 @dataclass(frozen=True)
@@ -89,17 +85,6 @@ class CentralityVector:
 
     def __len__(self):
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class PowerIterationState:
-    """Final iterates of the eigenvector power iteration over a stack of
-    graphs: one row of ``iterate``, one iteration count and one last
-    delta per graph."""
-
-    iterate: np.ndarray
-    iterations: np.ndarray
-    last_delta: np.ndarray
 
 
 def _degree(st: GraphStack) -> np.ndarray:
@@ -154,91 +139,60 @@ def _betweenness(st: GraphStack) -> np.ndarray:
     return per_vertex / 2.0
 
 
-def power_iteration(graphs) -> PowerIterationState:
-    """Iterate ``v <- (A + I) v`` with sum-normalization from all-ones, for
-    each graph of a stack on one vertex count, until a step moves no entry
-    by ``POWER_ITERATION_TOL``; ``POWER_ITERATION_CAP`` iterations at most.
+def _kept(build):
+    """``build(stack)``, made on a stack's first use and kept on the stack."""
+    def kept(st: GraphStack):
+        if build.__name__ not in vars(st):
+            vars(st)[build.__name__] = build(st)
+        return vars(st)[build.__name__]
+    return kept
 
-    The unit diagonal makes the iteration aperiodic, so it converges on
-    every connected graph, including bipartite ones. One ``np.matmul``
-    multiplies the whole ``(k, n, n)`` stack per iteration; it applies to
-    each matrix the gemv that the product of that matrix alone would, and
-    a graph leaves the stack at its own convergence, so each graph's
-    iterate, iteration count and last delta are bit for bit those of a
-    stack of one. The buffers are reused until a graph leaves.
-    """
-    st = GraphStack(graphs)
-    m = st.adjacency + np.eye(st.n)
-    k, n, _ = m.shape
-    v = np.full((k, n, 1), 1.0 / n)
-    w, diff = np.empty_like(v), np.empty_like(v)
-    iterate, last_delta = np.empty((k, n)), np.empty(k)
-    iterations = np.zeros(k, dtype=int)
-    rows = np.arange(k)  # stack position of each graph still iterating
-    for iteration in range(1, POWER_ITERATION_CAP + 1):
-        np.matmul(m, v, out=w)
-        w /= w.sum(axis=1, keepdims=True)
-        np.subtract(w, v, out=diff)
-        np.abs(diff, out=diff)
-        delta = diff.max(axis=1)[:, 0]
-        v, w = w, v
-        done = delta < POWER_ITERATION_TOL
-        if done.any():
-            iterate[rows[done]] = v[done, :, 0]
-            iterations[rows[done]] = iteration
-            last_delta[rows[done]] = delta[done]
-            if done.all():
-                return PowerIterationState(iterate, iterations, last_delta)
-            going = ~done
-            rows, m, v = rows[going], m[going], v[going]
-            w, diff = np.empty_like(v), np.empty_like(v)
-    raise ConvergenceError(
-        f"power iteration did not reach {POWER_ITERATION_TOL:g} "
-        f"within {POWER_ITERATION_CAP} iterations"
-    )
+
+@_kept
+def _inverse(st: GraphStack) -> np.ndarray:
+    """``(k, n, n)`` ``B = (D - A + U)^-1`` from one :func:`invert` call;
+    every row of B sums to ``1/n`` on a connected graph, checked."""
+    n = st.n
+    lap = np.ones((len(st), n, n))
+    lap[:, np.arange(n), np.arange(n)] += st.degrees
+    lap -= st.adjacency
+    b = invert(lap)
+    row_sums = b.sum(axis=2)
+    if np.max(np.abs(row_sums - row_sums[:, :1])) > _ROW_SUM_TOL:
+        raise ArithmeticError("row sums of (D - A + U)^-1 are not constant")
+    return b
+
+
+@_kept
+def _spectrum(st: GraphStack) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues ``(k, n)`` and eigenvectors ``(k, n, n)`` of the
+    adjacency from one stacked :func:`sym_eigen`, each matrix's own ``eigh``."""
+    return sym_eigen(st.adjacency)
 
 
 def _eigenvector(st: GraphStack) -> np.ndarray:
-    """Eigenvector centrality of each graph of a stack, one row per graph:
-    the converged power-iteration iterate divided by its largest entry."""
-    v = power_iteration(st).iterate
+    """``|v| / max |v|`` for the adjacency's top eigenvector v, which on a
+    connected graph is simple: the Perron vector up to sign."""
+    v = np.abs(_spectrum(st)[1][..., -1])
     return v / v.max(axis=1, keepdims=True)
-
-
-def _laplacian(st: GraphStack) -> np.ndarray:
-    """``(k, n, n)`` Laplacians ``D - A``, built as ``diag(degrees) - A``."""
-    n = st.n
-    lap = np.zeros((len(st), n, n))
-    lap[:, np.arange(n), np.arange(n)] = st.degrees
-    lap -= st.adjacency
-    return lap
 
 
 def _information(st: GraphStack) -> np.ndarray:
     """Stephenson-Zelen information centrality.
 
     With ``B = (D - A + U)^-1``, ``T`` its trace and ``R`` its common row
-    sum (every row of B sums to ``1/n`` on a connected graph), vertex k
-    scores ``1 / (B[k,k] + (T - 2R)/n)``. One :func:`invert` call takes the
-    whole stack.
+    sum, vertex k scores ``1 / (B[k,k] + (T - 2R)/n)``.
     """
-    lap = _laplacian(st)
-    lap += 1.0
-    b = invert(lap)
-    row_sums = b.sum(axis=2)
-    if np.max(np.abs(row_sums - row_sums[:, :1])) > _ROW_SUM_TOL:
-        raise ArithmeticError("row sums of (D - A + U)^-1 are not constant")
+    b = _inverse(st)
     diag = np.diagonal(b, axis1=1, axis2=2)
-    shift = (diag.sum(axis=1) - 2.0 * row_sums[:, 0]) / st.n
+    shift = (diag.sum(axis=1) - 2.0 * b.sum(axis=2)[:, 0]) / st.n
     return 1.0 / (diag + shift[:, None])
 
 
 def _subgraph(st: GraphStack) -> np.ndarray:
-    """Subgraph centrality of each graph of a stack, one row per graph: the
-    diagonal of ``expm(A)`` from one stacked eigendecomposition. Each
-    matrix gets the ``eigh`` and the gemv it would get alone, so every row
-    is bit for bit that of a stack of one."""
-    lam, vecs = sym_eigen(st.adjacency)
+    """The diagonal of ``expm(A)`` from the stack's eigendecomposition, with
+    the gemv each matrix would get alone."""
+    lam, vecs = _spectrum(st)
     return np.matmul(vecs * vecs, np.exp(lam)[..., None])[..., 0]
 
 
@@ -252,10 +206,14 @@ def _walk_betweenness(st: GraphStack) -> np.ndarray:
     sorted prefix sum, and pairs involving the edge's own endpoints are
     subtracted, giving O(m n log n) overall.
 
-    The potentials ``T`` of the whole stack come from one :func:`invert`
-    call, and every step gathers its per-edge rows over the stack: each
-    graph's edges are padded to the stack's largest edge count with
-    ``(0, 0)``, an edge that carries no current and adds exact zeros.
+    The potentials are ``T = B^T`` for information's ``B = (D - A + U)^-1``:
+    any generalized inverse of the Laplacian gives the same potential
+    differences (Brandes & Fleischer, STACS 2005), and B is symmetric up to
+    rounding. :func:`invert` writes each inverse Fortran-ordered, so ``B^T``
+    is C-contiguous without a copy and the row gathers stay contiguous.
+    Every step gathers its per-edge rows over the stack: each graph's edges
+    are padded to the stack's largest edge count with ``(0, 0)``, an edge
+    that carries no current and adds exact zeros.
     Edges are taken in chunks of ``_EDGE_CHUNK``. Within a chunk, the
     potential differences ``T[u] - T[v]``, the two endpoint deviation sums
     and the in-place row sort run in blocks of ``_ROW_BLOCK`` edges, so
@@ -266,11 +224,7 @@ def _walk_betweenness(st: GraphStack) -> np.ndarray:
     when a block holds a single row.
     """
     k, n = len(st), st.n
-    # Inverse of each Laplacian grounded at the last vertex: its last row
-    # and column are removed before inversion and padded back as zeros.
-    t = np.zeros((k, n, n))
-    t[:, : n - 1, : n - 1] = invert(_laplacian(st)[:, : n - 1, : n - 1])
-    t_rows = t.reshape(k * n, n)
+    t_rows = np.ascontiguousarray(_inverse(st).transpose(0, 2, 1)).reshape(k * n, n)
     # Edge endpoints as rows of t_rows and slots of acc.
     offset = np.arange(0, k * n, n)[:, None]
     acc = np.zeros(k * n)
@@ -331,15 +285,32 @@ _TABLE = {
 MEASURES = tuple(_TABLE)  # in name order
 
 
+def _snap(scores: np.ndarray) -> np.ndarray:
+    """Equal scores stored equal: each row of non-negative ``scores`` sorted,
+    a class opened wherever a consecutive gap exceeds ``TIE_TOL`` times the
+    larger score, and every member given its class's smallest score."""
+    k, n = scores.shape
+    order = scores.argsort(axis=1)
+    ranked = np.take_along_axis(scores, order, axis=1)
+    opens = np.ones((k, n), dtype=bool)
+    opens[:, 1:] = np.diff(ranked, axis=1) > TIE_TOL * ranked[:, 1:]
+    first = np.maximum.accumulate(np.where(opens, np.arange(n), 0), axis=1)
+    snapped = np.empty_like(scores)
+    np.put_along_axis(snapped, order, np.take_along_axis(ranked, first, axis=1), axis=1)
+    return snapped
+
+
 def measure_stack(graphs, measure: str) -> np.ndarray:
     """The ``(k, n)`` scores of ``measure`` for k graphs on one vertex count,
     given as a :class:`~graphbench.graphs.GraphStack` or any sequence of
     graphs. Each row of a dense graph is bit for bit that of its stack of
     one; in a larger stack a CSR graph's betweenness rounds as a dense
     product does. The stack's adjacency, degrees and geodesics are built
-    once, on its first measure that needs them, and every check runs once
-    per stack: one vertex count, connectivity where the measure needs it,
-    enough vertices, and finite, non-negative scores."""
+    once, on its first measure that needs them, as are its two
+    factorizations, and every check runs once per stack: one vertex count,
+    connectivity where the measure needs it, enough vertices, and finite,
+    non-negative scores. Each row is then snapped: scores within
+    ``TIE_TOL`` of each other, relative, are stored as one value."""
     try:
         spec = _TABLE[measure]
     except KeyError:
@@ -354,7 +325,7 @@ def measure_stack(graphs, measure: str) -> np.ndarray:
         raise ValueError(f"{measure}: non-finite centrality value")
     if scores.size and scores.min() < 0:
         raise ValueError(f"{measure}: negative centrality value")
-    return scores
+    return _snap(scores)
 
 
 def compute_measure(g: Graph, measure: str) -> CentralityVector:
@@ -363,8 +334,10 @@ def compute_measure(g: Graph, measure: str) -> CentralityVector:
 
 
 def all_measures(g: Graph) -> dict[str, CentralityVector]:
-    """All eight measures of ``g``, keyed by name in :data:`MEASURES` order."""
-    return {name: compute_measure(g, name) for name in MEASURES}
+    """All eight measures of ``g``, keyed by name in :data:`MEASURES` order,
+    from one stack of one, so ``g`` is factored once."""
+    stack = GraphStack([g])
+    return {name: CentralityVector(measure_stack(stack, name)[0]) for name in MEASURES}
 
 
 def centrality_csv(vectors: dict[str, CentralityVector]) -> str:

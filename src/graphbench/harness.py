@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from functools import partial
 from multiprocessing import get_context
 from time import perf_counter
@@ -32,6 +33,27 @@ from .graphs import parse_graph6
 from .plan import plan_experiments
 from .store import load_results
 from .tables import correlation_matrix, emit_heatmap
+
+
+# A pool worker's BLAS runs on one thread: at workbench sizes a second
+# thread per worker only contends for the cores the pool already fills.
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+@contextmanager
+def _environment(values: dict[str, str]):
+    """``os.environ`` updated with ``values`` for the block, then restored
+    as it was, a variable that was unset unset again."""
+    saved = {name: os.environ.get(name) for name in values}
+    os.environ.update(values)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def _error_text(exc: Exception) -> str:
@@ -122,9 +144,11 @@ def run_experiment(
     The unit of work is a stack (see :func:`_run_stack`): each census cell
     is one, and each sample drawn from a model is one, measured on the
     same path. Stacks are independent; they run in a spawned process pool of
-    ``min(workers, os.cpu_count(), stacks)`` processes, or in this
-    process when that is 1. Aggregation follows canonical sample order, so
-    outputs do not depend on scheduling or the worker count. Sample
+    ``min(workers, os.cpu_count(), stacks)`` processes, each with BLAS on
+    one thread, or in this process, at the caller's BLAS setting, when
+    that is 1. Aggregation follows canonical sample order and measures
+    store equal scores equal, so outputs do not depend on scheduling, the
+    worker count or the BLAS thread count. Sample
     records, roll-up tables and the heatmap an earlier run left in
     ``output_dir`` are removed, so the directory holds this run's outputs
     only; the tables are not written when no sample succeeds. A worker
@@ -140,7 +164,8 @@ def run_experiment(
     )
     workers = min(workers, os.cpu_count() or 1, len(stacks))
     if workers > 1:
-        with ProcessPoolExecutor(
+        # Spawned workers read the environment when they import numpy.
+        with _environment(_WORKER_ENV), ProcessPoolExecutor(
             max_workers=workers, mp_context=get_context("spawn")
         ) as pool:
             measured = list(pool.map(run, stacks))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import stats
-from .centrality import MEASURES
+from .centrality import MEASURES, TIE_TOL
 from .generators import MODEL_IDS
 from .plan import _DEFAULT_CONFIDENCE, ExperimentPlan
 
@@ -92,6 +92,7 @@ def _manifest(plan: ExperimentPlan, results: list[RunResult]) -> dict:
             "tau_both_constant": stats.TAU_CONVENTIONS["both_constant"],
             "tau_one_constant": stats.TAU_CONVENTIONS["one_constant"],
             "granularity_rounding": "6 decimal places, half away from zero",
+            "tie_tol": TIE_TOL,
             "connectivity_policy": "retry with mix64(seed, retry) sub-seeds",
             "seed_derivation": "splitmix64 chain over "
                                "(base_seed, model_id, cell_index, sample_index)",

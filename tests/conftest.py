@@ -1,5 +1,7 @@
 import pytest
 
+from oracles import exact_scores
+
 from graphbench import enumerate_connected_nonisomorphic
 
 
@@ -11,6 +13,19 @@ def corpus6():
 @pytest.fixture(scope="session")
 def corpus7():
     return enumerate_connected_nonisomorphic(7)
+
+
+@pytest.fixture(scope="session")
+def corpus965(corpus6, corpus7):
+    return corpus6 + corpus7
+
+
+@pytest.fixture(scope="session")
+def exact965(corpus965):
+    """:func:`oracles.exact_scores` of every census graph on 6 and 7
+    vertices, in :func:`corpus965` order (about 10 s)."""
+    pytest.importorskip("mpmath")
+    return [exact_scores(g) for g in corpus965]
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,10 @@ plain-Python BFS instead of matrix products, explicit path enumeration
 instead of dependency accumulation, per-pair current solves instead of
 per-edge aggregation, and a pair-counting loop for tau-b.
 
+:func:`exact_scores` computes every measure without rounding error, or
+at 60 digits where the value is irrational, so tests can bound each
+float64 score's error and tell which scores are truly equal.
+
 The ``unblocked_*``, ``order_matrix_*`` and ``dense_*`` functions are the
 exception: they keep the earlier, simpler forms of optimised kernels
 (whole-chunk walk betweenness, float64 sign-matrix and boolean
@@ -14,6 +18,7 @@ of the optimised ones.
 """
 
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 from math import factorial, sqrt
 
@@ -75,6 +80,94 @@ def bf_betweenness(g):
             for k in path[1:-1]:
                 scores[k] += 1.0 / len(paths)
     return scores
+
+
+def exact_inverse(m):
+    """Inverse of a nonsingular square matrix of Fractions, by Gauss-Jordan
+    elimination on ``[m | I]``."""
+    n = len(m)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col]
+        scale = head[col]
+        head[:] = [x / scale for x in head]
+        for r in range(n):
+            factor = rows[r][col]
+            if r != col and factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], head)]
+    return [row[n:] for row in rows]
+
+
+def exact_scores(g):
+    """Every measure of a connected graph, exactly: ``Fraction`` values for
+    the six rational measures, ``mpmath.mpf`` at 60 digits for subgraph
+    and eigenvector. Betweenness is Brandes' accumulation over integer
+    path counts; information and walk betweenness both read one exact
+    ``B = (L + J)^-1``. Needs mpmath."""
+    import mpmath
+
+    n = g.n
+    adj = neighbor_lists(g)
+    bfs = [bf_bfs(adj, s) for s in range(n)]
+    scores = {
+        "degree": [Fraction(len(a)) for a in adj],
+        "closeness": [Fraction(1, sum(dist)) for dist, _ in bfs],
+        "eccentricity": [Fraction(1, max(dist)) for dist, _ in bfs],
+    }
+    between = [Fraction(0)] * n
+    for s, (dist, sigma) in enumerate(bfs):
+        delta = [Fraction(0)] * n
+        for v in sorted(range(n), key=dist.__getitem__, reverse=True):
+            for w in adj[v]:
+                if dist[w] == dist[v] + 1:
+                    delta[v] += Fraction(sigma[v], sigma[w]) * (1 + delta[w])
+            if v != s:
+                between[v] += delta[v]
+    scores["betweenness"] = [x / 2 for x in between]
+
+    degree = [len(a) for a in adj]
+    b = exact_inverse([
+        [Fraction(1 + (degree[i] if i == j else -int(j in adj[i]))) for j in range(n)]
+        for i in range(n)
+    ])
+    shift = (sum(b[k][k] for k in range(n)) - 2 * sum(b[0])) / n
+    scores["information"] = [1 / (b[k][k] + shift) for k in range(n)]
+    walk = [Fraction(0)] * n
+    for i, j in combinations(range(n), 2):
+        potential = [row[i] - row[j] for row in b]
+        for k in range(n):
+            if k in (i, j):
+                walk[k] += 1
+            else:
+                walk[k] += sum(abs(potential[k] - potential[t]) for t in adj[k]) / 2
+    scores["walk_betweenness"] = walk
+
+    with mpmath.workdps(60):
+        lam, vecs = mpmath.eigsy(mpmath.matrix(g.adjacency_matrix.tolist()))
+        scores["subgraph"] = [
+            mpmath.fsum(vecs[k, i] ** 2 * mpmath.exp(lam[i]) for i in range(n))
+            for k in range(n)
+        ]
+        top = max(range(n), key=lambda i: lam[i])
+        perron = [abs(vecs[k, top]) for k in range(n)]
+        scores["eigenvector"] = [x / max(perron) for x in perron]
+    return scores
+
+
+def exact_equal_pairs(values):
+    """The pairs ``(i, j)``, ``i < j``, of equal exact scores: Fractions
+    compare exactly, and 60-digit values agreeing to 40 digits are equal
+    (unequal census scores stand at least 1e-4 apart, relative)."""
+    def same(a, b):
+        if isinstance(a, Fraction):
+            return a == b
+        return abs(a - b) <= 1e-40 * max(abs(a), abs(b))
+
+    return {
+        (i, j) for i, j in combinations(range(len(values)), 2) if same(values[i], values[j])
+    }
 
 
 def bf_subgraph_series(g, terms=40):
@@ -182,9 +275,8 @@ def unblocked_walk_betweenness(g, edge_chunk=2048):
     from graphbench.linalg import invert
 
     n = g.n
-    lap = np.diag(g.degrees.astype(float)) - g.adjacency_matrix
-    t = np.zeros((n, n))
-    t[: n - 1, : n - 1] = invert(lap[: n - 1, : n - 1])
+    # The kernel's potentials: the transpose of B = (D - A + U)^-1.
+    t = invert(np.diag(g.degrees.astype(float)) - g.adjacency_matrix + 1.0).T
     acc = np.zeros(n)
     edges = g.edges
     rank_weights = 2.0 * np.arange(n) - (n - 1)

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from oracles import (
     bf_subgraph_series,
     bf_walk_betweenness,
     dense_betweenness,
+    exact_equal_pairs,
     random_tree,
     sample_id,
     seeded_sample,
@@ -30,12 +33,8 @@ from graphbench import (
     sym_eigen,
 )
 from graphbench import centrality
-from graphbench.centrality import (
-    MEASURES,
-    ConvergenceError,
-    measure_stack,
-    power_iteration,
-)
+from graphbench.centrality import _TABLE, MEASURES, measure_stack
+from graphbench.graphs import GraphStack
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -50,6 +49,11 @@ def _complete(n):
 
 def _cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _kernel(g, measure):
+    """The measure's kernel on the stack of one, before the tie snap."""
+    return _TABLE[measure].kernel(GraphStack([g]))[0]
 
 
 def _random_connected(n, p, seed):
@@ -134,9 +138,9 @@ class TestBetweenness:
         else:
             assert np.max(np.abs(values - expected) / expected.clip(min=1.0)) <= 1e-12
 
-    def test_census_bit_identical_to_dense_kernel(self, corpus6, corpus7):
-        for g in corpus6 + corpus7:
-            assert np.array_equal(compute_measure(g, "betweenness").values, dense_betweenness(g))
+    def test_census_bit_identical_to_dense_kernel(self, corpus965):
+        for g in corpus965:
+            assert np.array_equal(_kernel(g, "betweenness"), dense_betweenness(g))
 
 
 class TestEigenvector:
@@ -155,17 +159,6 @@ class TestEigenvector:
             dominant = np.abs(vecs[:, -1])
             dominant /= dominant.max()
             assert np.max(np.abs(values - dominant)) <= 1e-8
-
-    def test_sums_to_one(self):
-        g = _random_connected(30, 0.2, 5)
-        state = power_iteration([g])
-        assert state.last_delta[0] < 1e-12
-        assert abs(state.iterate[0].sum() - 1.0) < 1e-12
-
-    def test_iteration_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(centrality, "POWER_ITERATION_CAP", 1)
-        with pytest.raises(ConvergenceError, match="within 1 iterations"):
-            compute_measure(P4, "eigenvector")
 
 
 class TestInformation:
@@ -234,18 +227,6 @@ class TestStacks:
     """Every measure takes a stack of graphs on one vertex count in one
     call; each graph's result is bit for bit its stack of one."""
 
-    def test_power_iteration_stack_matches_stack_of_one(self, corpus6, corpus7):
-        for corpus in (corpus6, corpus7):
-            state = power_iteration(corpus)
-            assert state.iterate.shape == (len(corpus), corpus[0].n)
-            for i, g in enumerate(corpus):
-                alone = power_iteration([g])
-                assert state.iterate[i].tobytes() == alone.iterate[0].tobytes()
-                assert state.iterations[i] == alone.iterations[0]
-                assert state.last_delta[i] == alone.last_delta[0]
-            # Graphs leave the stack at different iterations.
-            assert len(set(state.iterations.tolist())) > 1
-
     def test_scores_stack_matches_stack_of_one(self, corpus6, corpus7):
         for corpus in (corpus6, corpus7):
             for m in MEASURES:
@@ -272,31 +253,33 @@ class TestStacks:
             measure_stack([P3], "pagerank")
 
     def test_scores_match_pinned_hashes(self):
-        # First 16 hex digits of the sha256 of each measure's score bytes,
+        # First 16 hex digits of the sha256 of each kernel's score bytes,
+        # before the tie snap, in an interpreter with BLAS on one thread:
+        # a threaded eigh rounds differently at n = 500. The pins were
         # captured from the per-graph kernels that the stack kernels
-        # replaced, in an interpreter with BLAS on one thread: a threaded
-        # eigh rounds differently at n = 500. The census corpora run as
-        # whole stacks; each drawn sample is a stack of one.
+        # replaced; eigenvector's and walk betweenness's were recaptured
+        # when they began to read the stack's eigh and B. The census
+        # corpora run as whole stacks; each drawn sample is a stack of one.
         pinned = {
             "corpus6": {
                 "betweenness": "4605787899557a96",
                 "closeness": "65f8f9261c8c7a4d",
                 "degree": "bd3a4e42537286ce",
                 "eccentricity": "274eb5faa38e026f",
-                "eigenvector": "48e8b049fa8e2d69",
+                "eigenvector": "d0694c7af4a73be3",
                 "information": "0b717e3cb566cbdd",
                 "subgraph": "4c9b61214edfb641",
-                "walk_betweenness": "ad930da023891435",
+                "walk_betweenness": "80357b423c7d2856",
             },
             "corpus7": {
                 "betweenness": "31187d11db8c67df",
                 "closeness": "936e11de9c7138ae",
                 "degree": "8f35e6ae4dfeba77",
                 "eccentricity": "9740442453a73330",
-                "eigenvector": "f32cacea372503c4",
+                "eigenvector": "df24ca3677b36907",
                 "information": "c95f6a431e306449",
                 "subgraph": "b3c14a4c5eb0e052",
-                "walk_betweenness": "89d646b943656977",
+                "walk_betweenness": "dab84959c53282ea",
             },
             "er100": {
                 "operator": "ndarray",
@@ -304,10 +287,10 @@ class TestStacks:
                 "closeness": "815dbfe181dcf60e",
                 "degree": "7b080c89f37d0940",
                 "eccentricity": "ae2aec2f0c595567",
-                "eigenvector": "08e2fe10e23e297c",
+                "eigenvector": "f6e4b4189d2e1461",
                 "information": "b99a2dca6ae9e813",
                 "subgraph": "1c7107f3ed8aa0f0",
-                "walk_betweenness": "4d31a59b9d6da699",
+                "walk_betweenness": "c9fb1e1202127a3c",
             },
             "er500": {
                 "operator": "ndarray",
@@ -315,10 +298,10 @@ class TestStacks:
                 "closeness": "33343277ea264fe0",
                 "degree": "eb6302161cfad124",
                 "eccentricity": "64cb23f92dd28e65",
-                "eigenvector": "33acfb1d6787b977",
+                "eigenvector": "b12d1952b37c9bc2",
                 "information": "0a43c74bc07ce237",
                 "subgraph": "ecadc1169ee0e255",
-                "walk_betweenness": "b9969d28265a12f8",
+                "walk_betweenness": "89156f8471cfe11c",
             },
             "gr484": {
                 "operator": "ndarray",
@@ -326,10 +309,10 @@ class TestStacks:
                 "closeness": "9ccd6156033244c2",
                 "degree": "73c4319dfbf332f1",
                 "eccentricity": "e201969f0c51449e",
-                "eigenvector": "ac446255580c06dd",
+                "eigenvector": "c248ec8e7634ddc6",
                 "information": "ad75c995eb1fc76e",
                 "subgraph": "f1328dae8d3e6c2b",
-                "walk_betweenness": "ccea422a96d73713",
+                "walk_betweenness": "86dc13415ff8f34e",
             },
             "cs500": {
                 "operator": "ndarray",
@@ -337,10 +320,10 @@ class TestStacks:
                 "closeness": "57d8722ff5da8730",
                 "degree": "260cbeb2e576271e",
                 "eccentricity": "9cc826bd34c34d3d",
-                "eigenvector": "9c5b3a0b81a6aadc",
+                "eigenvector": "f4673d2b9623c8ba",
                 "information": "9b27cf085da21249",
                 "subgraph": "5c023519216d1424",
-                "walk_betweenness": "e58d6611de4aa85a",
+                "walk_betweenness": "d5ace2803f1596e0",
             },
             "sw500": {
                 "operator": "csr_array",
@@ -348,20 +331,22 @@ class TestStacks:
                 "closeness": "42b0e096b8ca4ebd",
                 "degree": "23d875b91495b8c0",
                 "eccentricity": "ac66898a7dc171f8",
-                "eigenvector": "4efb923ca342f55b",
+                "eigenvector": "3d01bc7ef65713d1",
                 "information": "156b3a20cc960e08",
                 "subgraph": "7e10e22b2a24f11a",
-                "walk_betweenness": "8f7322179e3dd68e",
+                "walk_betweenness": "6df748b32e69bb26",
             },
         }
         code = textwrap.dedent("""
             import hashlib, json
             from oracles import seeded_sample
             from graphbench import enumerate_connected_nonisomorphic
-            from graphbench.centrality import MEASURES, measure_stack
+            from graphbench.centrality import _TABLE, MEASURES
+            from graphbench.graphs import GraphStack
 
-            def digest(stack):
-                return {m: hashlib.sha256(measure_stack(stack, m).tobytes()).hexdigest()[:16]
+            def digest(graphs):
+                stack = GraphStack(graphs)
+                return {m: hashlib.sha256(_TABLE[m].kernel(stack).tobytes()).hexdigest()[:16]
                         for m in MEASURES}
 
             out = {f"corpus{n}": digest(enumerate_connected_nonisomorphic(n)) for n in (6, 7)}
@@ -418,8 +403,50 @@ class TestWalkBetweenness:
     def test_bit_identical_to_unblocked_kernel(self, n, m):
         g = _connected_with_edges(n, m, seed=0)
         assert g.m == m
-        values = compute_measure(g, "walk_betweenness").values
-        assert np.array_equal(values, unblocked_walk_betweenness(g))
+        assert np.array_equal(_kernel(g, "walk_betweenness"), unblocked_walk_betweenness(g))
+
+
+# Degree, closeness and eccentricity scores must be the float64 nearest
+# their exact values, and every other snapped score within EXACT_REL_TOL
+# of its exact value, relative. Eigenvector's error is taken relative to
+# the graph's largest score, the scale its scores are divided by: eigh's
+# vector error is absolute, about 3e-15 on the census, and reaches 1.1e-14
+# relative at the 0.078 score of one graph (corpus965[661]).
+CORRECTLY_ROUNDED = ("closeness", "degree", "eccentricity")
+EXACT_REL_TOL = 1e-14
+
+
+class TestExact:
+    """Every snapped score of the 965 census graphs on 6 and 7 vertices
+    against :func:`oracles.exact_scores`."""
+
+    @staticmethod
+    def _snapped(corpus6, corpus7, measure):
+        return [row for corpus in (corpus6, corpus7) for row in measure_stack(corpus, measure)]
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_within_bound_of_exact_value(self, measure, corpus6, corpus7, exact965):
+        mpmath = pytest.importorskip("mpmath")
+        snapped = self._snapped(corpus6, corpus7, measure)
+        for i, (row, exact) in enumerate(zip(snapped, exact965)):
+            exact = exact[measure]
+            if measure in CORRECTLY_ROUNDED:
+                assert row.tolist() == [float(x) for x in exact], (measure, i)
+                continue
+            for value, x in zip(row.tolist(), exact):
+                if isinstance(x, Fraction):
+                    error = abs(Fraction(value) - x)
+                else:
+                    error = abs(mpmath.mpf(value) - x)
+                scale = max(exact) if measure == "eigenvector" else abs(x)
+                assert error <= EXACT_REL_TOL * scale, (measure, i, value, x)
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_snapped_classes_are_exact_classes(self, measure, corpus6, corpus7, exact965):
+        snapped = self._snapped(corpus6, corpus7, measure)
+        for i, (row, exact) in enumerate(zip(snapped, exact965)):
+            equal = {(a, b) for a, b in combinations(range(len(row)), 2) if row[a] == row[b]}
+            assert equal == exact_equal_pairs(exact[measure]), (measure, i)
 
 
 # One seeded sample per generated model at n = 30, 100, 200 (geographical
@@ -499,8 +526,7 @@ class TestNetworkx:
 
     @pytest.mark.parametrize("spec", NETWORKX_SAMPLES, ids=sample_id)
     def test_eigenvector(self, spec):
-        # Power iteration stops at a step below 1e-12 on a sum-1 iterate,
-        # so scaled to a maximum of 1 it is good to about 1e-8.
+        # networkx's scipy eigensolver is good to about 1e-8 here.
         nx, g, h = self._pair(spec)
         expected = self._values(nx.eigenvector_centrality_numpy(h), g)
         expected /= expected.max()

@@ -18,7 +18,7 @@ STDOUT_SHA256 = {
     "01_measure_tour.py": "664b6163222cb5189dfd3fa74ce48c46e38ebacd47d2c9525513ea11f8af74ac",
     "02_model_gallery.py": "c9e1835bd783101c4b32c49ff8539b1c24421fba05f4bbf7d2e34a381eec6823",
     "03_small_graph_census.py": "811e1d7adf85293636a38bc43c61668aa0378b452518cb8f12980eecf8cf719d",
-    "04_mini_experiment.py": "0ba6fb9b5d6a1d3b94d26da94c2b0dd69832b601cd17de798a28af2a97778eae",
+    "04_mini_experiment.py": "f1b906d4d70667dfae1110530a3d7d4c8237a7b3a32a28138bdccf9a6c901e02",
 }
 
 

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +391,11 @@ class TestRun:
         manifest = (tmp_path / "out" / "manifest.json").read_text()
         assert manifest == json.dumps(json.loads(manifest), indent=2, sort_keys=True) + "\n"
 
+    def test_manifest_echoes_tie_tolerance(self, tmp_path):
+        run_experiment(plan_experiments(_tiny_config(tmp_path / "out")))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["conventions"]["tie_tol"] == centrality.TIE_TOL == 1e-9
+
     # subgraph's kernel fails for every stack. closeness's fails only on a
     # stack holding a graph with more edges than vertices; each stack below
     # holds one, and a failure on that graph alone fails every sample of
@@ -515,14 +523,16 @@ class TestRun:
         run_experiment(plan_experiments(_tiny_config(out, base_seed=5)))
         assert not (out / "heatmap.svg").exists()
 
-    def test_pool_size_capped(self, tmp_path, monkeypatch):
-        sizes = []
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Every pool ``run_experiment`` builds, as its size and the BLAS
+        thread variables when it was built; each maps in this process."""
+        built = []
 
         class FakePool:
-            """Records the requested size and maps in this process."""
-
             def __init__(self, max_workers, mp_context):
-                sizes.append(max_workers)
+                env = {name: os.environ.get(name) for name in harness._WORKER_ENV}
+                built.append((max_workers, env))
 
             def __enter__(self):
                 return self
@@ -534,6 +544,9 @@ class TestRun:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        return built
+
+    def test_pool_size_capped(self, tmp_path, monkeypatch, pools):
         plan = plan_experiments(_tiny_config(tmp_path / "out", samples_per_cell=3,
                                              metrics=["degree", "closeness"]))
         for cpus, workers in ((2, 8), (64, 8), (None, 8), (1, 8), (64, 1)):
@@ -541,16 +554,55 @@ class TestRun:
             results = run_experiment(plan, workers=workers)
             assert [r.error for r in results] == [None] * 3
         # Capped by the core count, then by the 3 samples; serial at 1.
-        assert sizes == [2, 3]
+        assert [size for size, _ in pools] == [2, 3]
         # A census cell is one stack, whatever its sample count.
-        sizes.clear()
+        pools.clear()
         census = plan_experiments(_tiny_config(
             tmp_path / "census", metrics=["degree", "closeness"],
             models=[{"model": "nonisomorphic", "n": [4, 5]}]))
         for workers in (8, 1):
             results = run_experiment(census, workers=workers)
             assert [r.error for r in results] == [None] * 27
-        assert sizes == [2]
+        assert [size for size, _ in pools] == [2]
+
+    @pytest.mark.parametrize("caller", [None, "2"])
+    def test_pool_workers_run_blas_on_one_thread(self, tmp_path, monkeypatch, pools, caller):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        for name in harness._WORKER_ENV:
+            if caller is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, caller)
+        plan = plan_experiments(_tiny_config(tmp_path / "out", metrics=["degree", "closeness"]))
+        for workers in (2, 1):
+            results = run_experiment(plan, workers=workers)
+            assert [r.error for r in results] == [None] * 2
+            # The caller's environment is as it was, the variables unset again.
+            assert {name: os.environ.get(name) for name in harness._WORKER_ENV} == dict.fromkeys(
+                harness._WORKER_ENV, caller)
+        # The pool was built with one BLAS thread; the in-process run built none.
+        assert pools == [(2, dict.fromkeys(harness._WORKER_ENV, "1"))]
+
+    def test_roll_ups_do_not_depend_on_blas_threads(self, tmp_path):
+        # Through a threaded eigh and LU, the n = 500 scale-free samples'
+        # float noise splits tied scores differently at 1 and 2 threads,
+        # unless equal scores are stored equal.
+        config = {
+            "models": [{"model": "nonisomorphic", "n": [6]},
+                       {"model": "er", "n": [100], "p": [0.1]},
+                       {"model": "sf", "n": [500], "k": [2]}],
+            "samples_per_cell": 2,
+            "base_seed": 20160901,
+        }
+        code = ("import json, sys; from graphbench import plan_experiments, run_experiment; "
+                "run_experiment(plan_experiments(json.loads(sys.argv[1])))")
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads, "PYTHONPATH": str(ROOT / "src")}
+            run = json.dumps(dict(config, output_dir=str(tmp_path / threads)))
+            subprocess.run([sys.executable, "-c", code, run], env=env, check=True)
+        for name in sorted(TABLE_FILES.values()):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_rejected(self, tmp_path, workers):
