@@ -202,61 +202,56 @@ def _walk_betweenness(st: GraphStack) -> np.ndarray:
     For source-target pair (i, j), the current on edge (k, t) is
     ``|T[k,i] - T[k,j] - T[t,i] + T[t,j]|`` and vertex k carries half the
     absolute current over its incident edges; pairs with k as an endpoint
-    contribute exactly 1. Per edge, the sum over all pairs reduces to a
-    sorted prefix sum, and pairs involving the edge's own endpoints are
-    subtracted, giving O(m n log n) overall.
+    contribute exactly 1. Per edge (u, v), with ``x = T[u] - T[v]``, the sum
+    over all pairs is a sorted prefix sum of x, O(m n log n) overall, less
+    the pairs with u or v as an endpoint. Those cost O(1): by the maximum
+    principle for electrical potentials (Brandes & Fleischer, STACS 2005;
+    Newman, Social Networks 27, 2005), ``x_i - x_u`` is the potential drop
+    from u to v when unit current enters at i and leaves at u, the lowest
+    potential, so ``sum_i |x_i - x_u| = n x_u - sum(x)``, and likewise
+    ``sum_i |x_i - x_v| = sum(x) - n x_v``, with ``x_u = T[u,u] - T[v,u]``,
+    ``x_v = T[u,v] - T[v,v]`` and ``sum(x)`` from T's computed row sums.
 
-    The potentials are ``T = B^T`` for information's ``B = (D - A + U)^-1``:
-    any generalized inverse of the Laplacian gives the same potential
-    differences (Brandes & Fleischer, STACS 2005), and B is symmetric up to
-    rounding. :func:`invert` writes each inverse Fortran-ordered, so ``B^T``
-    is C-contiguous without a copy and the row gathers stay contiguous.
-    Every step gathers its per-edge rows over the stack: each graph's edges
-    are padded to the stack's largest edge count with ``(0, 0)``, an edge
-    that carries no current and adds exact zeros.
-    Edges are taken in chunks of ``_EDGE_CHUNK``. Within a chunk, the
-    potential differences ``T[u] - T[v]``, the two endpoint deviation sums
-    and the in-place row sort run in blocks of ``_ROW_BLOCK`` edges, so
-    the working set stays in cache and the buffers are reused. The sorted
-    rows land in one chunk-sized array, and each chunk does one
-    matrix-vector product per graph with the rank weights and one
-    accumulation per endpoint: a product per block would round differently
-    when a block holds a single row.
+    The potentials are ``T = B^T`` for information's ``B = (D - A + U)^-1``,
+    symmetric up to rounding: any generalized inverse of the Laplacian
+    gives the same potential differences. :func:`invert` writes each
+    inverse Fortran-ordered, so ``B^T`` is C-contiguous without a copy.
+    Each graph's edges are padded to the stack's largest edge count with
+    ``(0, 0)``, an edge that adds exact zeros. Edges go in chunks of
+    ``_EDGE_CHUNK``, whose rows are gathered and sorted in place in
+    cache-sized blocks of ``_ROW_BLOCK``; each chunk then does one product
+    per graph with the rank weights and one accumulation per endpoint: a
+    product per block would round differently when a block holds one row.
     """
     k, n = len(st), st.n
-    t_rows = np.ascontiguousarray(_inverse(st).transpose(0, 2, 1)).reshape(k * n, n)
-    # Edge endpoints as rows of t_rows and slots of acc.
-    offset = np.arange(0, k * n, n)[:, None]
+    t = np.ascontiguousarray(_inverse(st).transpose(0, 2, 1))
+    t_rows, row_sums = t.reshape(k * n, n), t.sum(axis=2)
+    # Each row's graph, and its edge endpoints as rows of t_rows and slots of acc.
+    graph = np.arange(k)[:, None]
+    offset = graph * n
     acc = np.zeros(k * n)
-    edges = st.edges
-    m = edges.shape[1]
+    m = st.edges.shape[1]
     rank_weights = 2.0 * np.arange(n) - (n - 1)
     ordered = np.empty((k, min(m, _EDGE_CHUNK), n))
     scratch = np.empty((k, min(m, _ROW_BLOCK), n))
     for lo in range(0, m, _EDGE_CHUNK):
-        chunk = edges[:, lo : lo + _EDGE_CHUNK]
+        chunk = st.edges[:, lo : lo + _EDGE_CHUNK]
         u, v = chunk[..., 0], chunk[..., 1]
         c = chunk.shape[1]
-        pairs_u = np.empty((k, c))
-        pairs_v = np.empty((k, c))
         for b in range(0, c, _ROW_BLOCK):
             bu, bv = u[:, b : b + _ROW_BLOCK], v[:, b : b + _ROW_BLOCK]
             w = bu.shape[1]
-            x = ordered[:, b : b + w]
-            dev = scratch[:, :w]
-            # The indices are in range; mode="clip" lets take write into
-            # ``out`` without an intermediate copy.
+            x, rows_v = ordered[:, b : b + w], scratch[:, :w]
+            # In-range indices: mode="clip" lets take write into out uncopied.
             np.take(t_rows, bu + offset, axis=0, out=x, mode="clip")
-            np.take(t_rows, bv + offset, axis=0, out=dev, mode="clip")
-            x -= dev
-            # Sum of |x_i - x_j| over the pairs with j an endpoint, per edge.
-            for ends, sums in ((bu, pairs_u), (bv, pairs_v)):
-                np.subtract(x, np.take_along_axis(x, ends[..., None], axis=2), out=dev)
-                np.abs(dev, out=dev)
-                dev.sum(axis=2, out=sums[:, b : b + w])
+            np.take(t_rows, bv + offset, axis=0, out=rows_v, mode="clip")
+            x -= rows_v
             x.sort(axis=2)
         # Sum of |x_i - x_j| over all pairs i<j, per edge.
         total = ordered[:, :c] @ rank_weights
+        sum_x = row_sums[graph, u] - row_sums[graph, v]
+        pairs_u = n * (t[graph, u, u] - t[graph, v, u]) - sum_x
+        pairs_v = sum_x - n * (t[graph, u, v] - t[graph, v, v])
         np.add.at(acc, u + offset, total - pairs_u)
         np.add.at(acc, v + offset, total - pairs_v)
     return 0.5 * acc.reshape(k, n) + (n - 1)

@@ -31,6 +31,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt
 from pathlib import Path
 from typing import Mapping
@@ -177,21 +178,25 @@ def check_params(model: str, n: int, params: Mapping[str, object]) -> None:
             raise ValueError(f"Kronecker graph needs n = 2**k, got n={n}, k={k}")
 
 
-def _pair_trials(n: int, probs, rng: np.random.Generator) -> Graph:
-    """One independent trial per vertex pair: pair i < j, taken in
-    ``np.triu_indices`` order, is kept when its draw from ``rng`` falls
-    below its probability. ``probs`` is one probability for every pair or
-    an n x n matrix of them; draws lie in [0, 1), so a probability of 0
-    never keeps a pair."""
+def _upper(n: int, probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs i < j in ``np.triu_indices`` order, as rows and columns, and
+    their probabilities, from one for every pair or an n x n matrix."""
     iu, ju = np.triu_indices(n, 1)
-    mask = rng.random(iu.size) < np.broadcast_to(probs, (n, n))[iu, ju]
-    return Graph(n, np.column_stack((iu[mask], ju[mask])))
+    return iu, ju, np.broadcast_to(probs, (n, n))[iu, ju]
+
+
+def _pair_trials(n: int, upper, rng: np.random.Generator) -> Graph:
+    """One trial per pair of :func:`_upper`'s ``upper``: a pair is kept when
+    its draw from ``rng``, in [0, 1), falls below its probability."""
+    iu, ju, probs = upper
+    keep = rng.random(iu.size) < probs
+    return Graph(n, np.column_stack((iu[keep], ju[keep])))
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Uniform random graph: each of the C(n,2) pairs kept with probability p."""
     check_params("er", n, {"p": p})
-    return _pair_trials(n, p, _rng(seed))
+    return _pair_trials(n, _upper(n, p), _rng(seed))
 
 
 def scale_free(n: int, k: int, seed: int) -> Graph:
@@ -279,7 +284,7 @@ def grid_pair_probabilities(n: int, kappa: float) -> np.ndarray:
 
 def geographical(n: int, kappa: float, seed: int) -> Graph:
     """Grid-embedded random graph with distance-decaying edge probability."""
-    return _pair_trials(n, grid_pair_probabilities(n, kappa), _rng(seed))
+    return _pair_trials(n, _upper(n, grid_pair_probabilities(n, kappa)), _rng(seed))
 
 
 def community_structure(n: int, p_c: float, p: float, c: int, seed: int) -> Graph:
@@ -294,7 +299,7 @@ def community_structure(n: int, p_c: float, p: float, c: int, seed: int) -> Grap
     rng = _rng(seed)
     member = rng.random((n, c)) < p_c
     shared = (member.astype(np.int64) @ member.T.astype(np.int64)) > 0
-    return _pair_trials(n, p * shared, rng)
+    return _pair_trials(n, _upper(n, p * shared), rng)
 
 
 @dataclass(frozen=True)
@@ -306,10 +311,7 @@ class KroneckerInitiator:
 
     def __post_init__(self):
         check_initiator(self.p)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.asarray(self.p, dtype=float).reshape(2, 2)
+        object.__setattr__(self, "p", tuple(self.p))  # hashable, for _kronecker_upper
 
 
 def load_initiators(path) -> dict[str, KroneckerInitiator]:
@@ -331,24 +333,30 @@ def kronecker_pair_probabilities(initiator: KroneckerInitiator, k: int) -> np.nd
 
     Entry (i, j) is the product over bit levels l of P[bit_l(i)][bit_l(j)].
     """
-    p = initiator.matrix
-    n = kronecker_size(k)
-    idx = np.arange(n)
-    probs = np.ones((n, n))
-    for level in range(k):
-        bits = (idx >> level) & 1
-        probs *= p[bits[:, None], bits[None, :]]
+    kronecker_size(k)
+    probs = p = np.array(initiator.p, dtype=float).reshape(2, 2)
+    for _ in range(k - 1):
+        probs = np.kron(p, probs)  # P[bit_l(i)][bit_l(j)] times the lower levels' product
     return probs
+
+
+@lru_cache(maxsize=1)
+def _kronecker_upper(initiator: KroneckerInitiator, k: int):
+    upper = _upper(kronecker_size(k), kronecker_pair_probabilities(initiator, k))
+    for array in upper:
+        array.flags.writeable = False  # every draw of (initiator, k) shares them
+    return upper
 
 
 def kronecker(initiator: KroneckerInitiator, k: int, seed: int) -> Graph:
     """Stochastic Kronecker graph on 2**k vertices.
 
     The upper triangle (i < j) is sampled independently with the ordered
-    pair's product probability; self-loops are never drawn.
+    pair's product probability; self-loops are never drawn. The pairs and
+    their probabilities are kept for the last (initiator, k), so the
+    attempts of one :func:`ensure_connected` call compute them once.
     """
-    probs = kronecker_pair_probabilities(initiator, k)
-    return _pair_trials(probs.shape[0], probs, _rng(seed))
+    return _pair_trials(kronecker_size(k), _kronecker_upper(initiator, k), _rng(seed))
 
 
 @dataclass(frozen=True)

@@ -173,7 +173,7 @@ class Graph:
     def geodesics(self) -> GeodesicData:
         """Breadth-first distances and geodesic counts from every source,
         by :func:`_all_pairs_bfs` through :attr:`adjacency_operator`."""
-        return _all_pairs_bfs(self.adjacency_operator, (self._n, self._n))
+        return _all_pairs_bfs(self.adjacency_operator, self.adjacency_matrix)
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Return the graph with vertex v renamed to perm[v]."""
@@ -213,29 +213,26 @@ class GeodesicData:
     sigma: np.ndarray
 
 
-def _all_pairs_bfs(op, shape: tuple) -> GeodesicData:
+def _all_pairs_bfs(op, adjacency: np.ndarray) -> GeodesicData:
     """Breadth-first distances and geodesic counts from every source of one
-    graph, ``shape`` ``(n, n)``, or of each graph of a dense ``(k, n, n)``
-    stack.
+    graph, ``adjacency`` ``(n, n)``, or of each graph of a dense
+    ``(k, n, n)`` stack.
 
-    Runs all sources simultaneously: at each level the frontier's path
-    counts are pushed one step through ``op``, so the work per level is one
-    product with an n-by-n matrix per graph; ``op`` is a graph's
+    Runs all sources simultaneously. The 0/1 adjacency is level 1; at each
+    later level the frontier's path counts are pushed one step through
+    ``op``, one product with an n-by-n matrix per graph, so a connected
+    graph of diameter d takes d - 1 products; ``op`` is a graph's
     :attr:`Graph.adjacency_operator` or the stack's adjacency. Column s of
     a frontier holds the counts from source s; ``dist`` and ``sigma`` are
     symmetric, so the rows are sources as well. Path counts are integers,
     exact while they stay below 2**53, so every summation order gives the
     same bits and a stacked BFS equals each graph's own.
     """
-    n = shape[-1]
-    dist = np.full(shape, UNREACHABLE, dtype=np.int32)
-    sigma = np.zeros(shape)
-    diagonal = (..., np.arange(n), np.arange(n))
-    dist[diagonal] = 0
-    sigma[diagonal] = 1.0
-    frontier = sigma
-    level = 0
-    unreached = sigma.size - sigma.size // n
+    n = adjacency.shape[-1]
+    sigma = adjacency + np.eye(n)  # one path to each neighbour and to itself
+    dist = np.where(sigma != 0, np.int32(1), np.int32(UNREACHABLE)) - np.eye(n, dtype=np.int32)
+    frontier, level = adjacency, 1
+    unreached = np.count_nonzero(dist == UNREACHABLE)
     while unreached:
         frontier = op @ frontier
         frontier *= sigma == 0  # keep the counts that reach new vertices
@@ -298,7 +295,7 @@ class GraphStack(tuple):
         if len(self) == 1:
             geo = self[0].geodesics
             return GeodesicData(dist=geo.dist[None], sigma=geo.sigma[None])
-        return _all_pairs_bfs(self.adjacency, self.adjacency.shape)
+        return _all_pairs_bfs(self.adjacency, self.adjacency)
 
     @cached_property
     def connected(self) -> np.ndarray:
@@ -335,7 +332,7 @@ def connected_stack(n: int, bits: np.ndarray) -> GraphStack:
     adjacency = np.zeros((len(bits), n, n))
     adjacency[:, i, j] = bits
     adjacency[:, j, i] = bits
-    geo = _all_pairs_bfs(adjacency, adjacency.shape)
+    geo = _all_pairs_bfs(adjacency, adjacency)
     keep = (geo.dist[:, 0] != UNREACHABLE).all(axis=1)
     adjacency, dist, sigma = adjacency[keep], geo.dist[keep], geo.sigma[keep]
     # Each graph's edges in canonical order, (0, 0)-padded to the largest m.

@@ -271,12 +271,14 @@ def random_tree(n, rng):
 
 
 def unblocked_walk_betweenness(g, edge_chunk=2048):
-    """Walk betweenness with whole-chunk (chunk, n) float64 temporaries."""
+    """Walk betweenness with whole-chunk (chunk, n) float64 temporaries and
+    the kernel's O(1) endpoint sums."""
     from graphbench.linalg import invert
 
     n = g.n
     # The kernel's potentials: the transpose of B = (D - A + U)^-1.
     t = invert(np.diag(g.degrees.astype(float)) - g.adjacency_matrix + 1.0).T
+    row_sums = t.sum(axis=1)
     acc = np.zeros(n)
     edges = g.edges
     rank_weights = 2.0 * np.arange(n) - (n - 1)
@@ -285,9 +287,11 @@ def unblocked_walk_betweenness(g, edge_chunk=2048):
         u, v = chunk[:, 0], chunk[:, 1]
         x = t[u] - t[v]
         total = np.sort(x, axis=1) @ rank_weights
+        # The kernel's endpoint sums, n x_u - sum(x) and sum(x) - n x_v.
         rows = np.arange(len(chunk))
-        pairs_u = np.abs(x - x[rows, u][:, None]).sum(axis=1)
-        pairs_v = np.abs(x - x[rows, v][:, None]).sum(axis=1)
+        sum_x = row_sums[u] - row_sums[v]
+        pairs_u = n * x[rows, u] - sum_x
+        pairs_v = sum_x - n * x[rows, v]
         np.add.at(acc, u, total - pairs_u)
         np.add.at(acc, v, total - pairs_v)
     return 0.5 * acc + (n - 1)

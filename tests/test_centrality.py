@@ -33,7 +33,7 @@ from graphbench import (
     sym_eigen,
 )
 from graphbench import centrality
-from graphbench.centrality import _TABLE, MEASURES, measure_stack
+from graphbench.centrality import _TABLE, MEASURES, _inverse, measure_stack
 from graphbench.graphs import GraphStack
 
 P3 = Graph(3, [(0, 1), (1, 2)])
@@ -258,7 +258,9 @@ class TestStacks:
         # a threaded eigh rounds differently at n = 500. The pins were
         # captured from the per-graph kernels that the stack kernels
         # replaced; eigenvector's and walk betweenness's were recaptured
-        # when they began to read the stack's eigh and B. The census
+        # when they began to read the stack's eigh and B, and walk
+        # betweenness's again when its endpoint sums became the O(1)
+        # maximum-principle formula. The census
         # corpora run as whole stacks; each drawn sample is a stack of one.
         pinned = {
             "corpus6": {
@@ -269,7 +271,7 @@ class TestStacks:
                 "eigenvector": "d0694c7af4a73be3",
                 "information": "0b717e3cb566cbdd",
                 "subgraph": "4c9b61214edfb641",
-                "walk_betweenness": "80357b423c7d2856",
+                "walk_betweenness": "4af918aa148667ad",
             },
             "corpus7": {
                 "betweenness": "31187d11db8c67df",
@@ -279,7 +281,7 @@ class TestStacks:
                 "eigenvector": "df24ca3677b36907",
                 "information": "c95f6a431e306449",
                 "subgraph": "b3c14a4c5eb0e052",
-                "walk_betweenness": "dab84959c53282ea",
+                "walk_betweenness": "a1c5c9e1604c1eaa",
             },
             "er100": {
                 "operator": "ndarray",
@@ -290,7 +292,7 @@ class TestStacks:
                 "eigenvector": "f6e4b4189d2e1461",
                 "information": "b99a2dca6ae9e813",
                 "subgraph": "1c7107f3ed8aa0f0",
-                "walk_betweenness": "c9fb1e1202127a3c",
+                "walk_betweenness": "48633b796d3c6bd4",
             },
             "er500": {
                 "operator": "ndarray",
@@ -301,7 +303,7 @@ class TestStacks:
                 "eigenvector": "b12d1952b37c9bc2",
                 "information": "0a43c74bc07ce237",
                 "subgraph": "ecadc1169ee0e255",
-                "walk_betweenness": "89156f8471cfe11c",
+                "walk_betweenness": "d1f5683ea0fa1e95",
             },
             "gr484": {
                 "operator": "ndarray",
@@ -312,7 +314,7 @@ class TestStacks:
                 "eigenvector": "c248ec8e7634ddc6",
                 "information": "ad75c995eb1fc76e",
                 "subgraph": "f1328dae8d3e6c2b",
-                "walk_betweenness": "86dc13415ff8f34e",
+                "walk_betweenness": "6437482a11ab7931",
             },
             "cs500": {
                 "operator": "ndarray",
@@ -323,7 +325,7 @@ class TestStacks:
                 "eigenvector": "f4673d2b9623c8ba",
                 "information": "9b27cf085da21249",
                 "subgraph": "5c023519216d1424",
-                "walk_betweenness": "d5ace2803f1596e0",
+                "walk_betweenness": "1127f7cd01c94f83",
             },
             "sw500": {
                 "operator": "csr_array",
@@ -334,7 +336,7 @@ class TestStacks:
                 "eigenvector": "3d01bc7ef65713d1",
                 "information": "156b3a20cc960e08",
                 "subgraph": "7e10e22b2a24f11a",
-                "walk_betweenness": "6df748b32e69bb26",
+                "walk_betweenness": "094ae8a572aa8e21",
             },
         }
         code = textwrap.dedent("""
@@ -404,6 +406,61 @@ class TestWalkBetweenness:
         g = _connected_with_edges(n, m, seed=0)
         assert g.m == m
         assert np.array_equal(_kernel(g, "walk_betweenness"), unblocked_walk_betweenness(g))
+
+
+def _explicit_walk_betweenness(stack):
+    """Walk betweenness of every graph of ``stack`` from the explicit endpoint
+    sums ``sum_i |x_i - x_u|`` and ``sum_i |x_i - x_v|``, x = T[u] - T[v] for
+    each edge (u, v) and the kernel's T. On the way it asserts the maximum
+    principle the kernel relies on, within 1e-12 relative: every
+    ``x_i - x_u <= 0`` and ``x_i - x_v >= 0``, so the two sums are
+    ``n x_u - sum(x)`` and ``sum(x) - n x_v``."""
+    k, n = len(stack), stack.n
+    t = np.swapaxes(_inverse(stack), 1, 2)
+    graph = np.arange(k)[:, None]
+    rank_weights = 2.0 * np.arange(n) - (n - 1)
+    acc = np.zeros((k, n))
+    for lo in range(0, stack.edges.shape[1], 256):
+        u, v = np.moveaxis(stack.edges[:, lo : lo + 256], 2, 0)
+        x = t[graph, u] - t[graph, v]
+        x_u = np.take_along_axis(x, u[..., None], axis=2)
+        x_v = np.take_along_axis(x, v[..., None], axis=2)
+        scale = 1e-12 * np.abs(x).max(axis=2)
+        assert np.all((x - x_u).max(axis=2) <= scale)
+        assert np.all((x_v - x).max(axis=2) <= scale)
+        pairs_u = np.abs(x - x_u).sum(axis=2)
+        pairs_v = np.abs(x - x_v).sum(axis=2)
+        sum_x = x.sum(axis=2)
+        assert np.all(np.abs(n * x_u[..., 0] - sum_x - pairs_u) <= 1e-12 * pairs_u)
+        assert np.all(np.abs(sum_x - n * x_v[..., 0] - pairs_v) <= 1e-12 * pairs_v)
+        total = np.sort(x, axis=2) @ rank_weights
+        np.add.at(acc, (graph, u), total - pairs_u)
+        np.add.at(acc, (graph, v), total - pairs_v)
+    return 0.5 * acc + (n - 1)
+
+
+class TestMaximumPrinciple:
+    """The kernel's O(1) endpoint sums hold on every edge, and its scores
+    are those of the explicit sums within 1e-12, relative."""
+
+    @pytest.mark.parametrize("spec", [
+        ("er", 30, {"p": 0.3}),
+        ("sf", 100, {"k": 3}),
+        ("sw", 200, {"k": 8, "p": 0.1}),
+        ("gr", 484, {"kappa": 1.5}),
+        ("cs", 500, {"p_c": 0.1, "c": 50, "p": 0.5}),
+        ("er", 500, {"p": 0.1}),
+    ], ids=sample_id)
+    def test_seeded_samples(self, spec):
+        g = seeded_sample(*spec)
+        explicit = _explicit_walk_betweenness(GraphStack([g]))[0]
+        assert np.all(np.abs(_kernel(g, "walk_betweenness") - explicit) <= 1e-12 * explicit)
+
+    def test_census(self, corpus6, corpus7):
+        for stack in (corpus6, corpus7):
+            explicit = _explicit_walk_betweenness(stack)
+            kernel = _TABLE["walk_betweenness"].kernel(stack)
+            assert np.all(np.abs(kernel - explicit) <= 1e-12 * explicit)
 
 
 # Degree, closeness and eccentricity scores must be the float64 nearest

@@ -26,6 +26,7 @@ from graphbench import (
     small_world,
     splitmix64,
 )
+from graphbench import generators
 from graphbench.generators import (
     DEFAULT_MAX_RETRIES,
     _class_bits,
@@ -186,6 +187,20 @@ class TestKronecker:
         # vertex 5 = 101, vertex 6 = 110 -> levels pair bits (1,0),(0,1),(1,1)
         assert probs[5, 6] == pytest.approx(0.5 * 0.5 * 0.2)
 
+    @pytest.mark.parametrize("p", [(0.987, 0.571, 0.571, 0.049), (0.9, 0.5, 0.5, 0.2),
+                                   (0.31, 0.77, 0.13, 0.58)])
+    def test_pair_probabilities_equal_the_level_product(self, p):
+        # The Kronecker powers multiply in the level order of the definition,
+        # so every entry is bit for bit the per-level product.
+        for k in range(1, 10):
+            idx = np.arange(1 << k)
+            expected = np.ones((1 << k, 1 << k))
+            for level in range(k):
+                bits = (idx >> level) & 1
+                expected *= np.reshape(p, (2, 2))[bits[:, None], bits[None, :]]
+            probs = kronecker_pair_probabilities(KroneckerInitiator("x", p), k)
+            assert probs.tobytes() == expected.tobytes()
+
     def test_initiator_validation(self):
         with pytest.raises(ValueError):
             KroneckerInitiator("bad", (0.5, 0.5, 1.5, 0.5))
@@ -237,6 +252,23 @@ class TestPairDraw:
         probs = kronecker_pair_probabilities(initiator, 4)
         expected = _reference_pairs(16, _pcg(9), lambda i, j, r: r < probs[i, j])
         assert np.array_equal(kronecker(initiator, 4, 9).edges, expected)
+
+    def test_kronecker_probabilities_once_per_connect(self, monkeypatch):
+        # Five failed attempts compute the pair probabilities once, and
+        # each attempt still draws the reference pairs under its own seed.
+        computed, drawn = [], []
+        monkeypatch.setattr(generators, "kronecker_pair_probabilities",
+                            lambda *args: computed.append(args) or kronecker_pair_probabilities(*args))
+        monkeypatch.setattr(generators, "is_connected", lambda g: drawn.append(g) or False)
+        generators._kronecker_upper.cache_clear()
+        initiator = KroneckerInitiator("x", (0.987, 0.571, 0.571, 0.049))
+        with pytest.raises(GenerationError):
+            ensure_connected(ModelConfig("kg", 64, {"initiator": initiator.p, "k": 6}, 3), 5)
+        assert len(computed) == 1 and len(drawn) == 5
+        probs = kronecker_pair_probabilities(initiator, 6)
+        for retry, g in enumerate(drawn):
+            expected = _reference_pairs(64, _pcg(mix64(3, retry)), lambda i, j, r: r < probs[i, j])
+            assert np.array_equal(g.edges, expected)
 
     @pytest.mark.parametrize("p_c", [1.0, 0.2], ids=["covered", "uncovered"])
     @pytest.mark.parametrize("p", [0.0, 0.6, 1.0])
@@ -377,7 +409,7 @@ class TestCensus:
         # path counts are a plain per-source BFS's.
         fresh = [Graph(n, _graph6_pairs(n)[b]) for b in _class_bits(n)]
         adjacency = np.stack([g.adjacency_matrix for g in fresh])
-        geo = _all_pairs_bfs(adjacency, adjacency.shape)
+        geo = _all_pairs_bfs(adjacency, adjacency)
         for g, dist, sigma in zip(fresh, geo.dist, geo.sigma):
             assert bool((dist != UNREACHABLE).all()) == g.connected, g.edges
             adj = neighbor_lists(g)

@@ -22,7 +22,7 @@ from graphbench import (
     parse_graph6,
 )
 from graphbench.centrality import compute_measure
-from graphbench.graphs import _graph6_pairs
+from graphbench.graphs import _all_pairs_bfs, _graph6_pairs
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -298,6 +298,44 @@ class TestBfs:
             dist, sigma = dense_geodesics(g)
             assert np.array_equal(g.geodesics.dist, dist)
             assert np.array_equal(g.geodesics.sigma, sigma)
+
+    # The adjacency is level 1, so a connected graph of diameter d takes
+    # d - 1 products: through a dense operator (er), a CSR one (sw, 14
+    # levels), the census stack's adjacency, and none on a complete graph.
+    @pytest.mark.parametrize("spec", [DENSITY_CUT_SAMPLES[0], DENSITY_CUT_SAMPLES[7]],
+                             ids=sample_id)
+    def test_diameter_minus_one_products(self, spec):
+        g = seeded_sample(*spec)
+        op = _CountingOperator(g.adjacency_operator)
+        geo = _all_pairs_bfs(op, g.adjacency_matrix)
+        dist, sigma = dense_geodesics(g)
+        assert np.array_equal(geo.dist, dist)
+        assert np.array_equal(geo.sigma, sigma)
+        assert op.products == dist.max() - 1
+
+    def test_census_stack_diameter_minus_one_products(self, corpus7):
+        op = _CountingOperator(corpus7.adjacency)
+        geo = _all_pairs_bfs(op, corpus7.adjacency)
+        assert np.array_equal(geo.dist, corpus7.geodesics.dist)
+        assert np.array_equal(geo.sigma, corpus7.geodesics.sigma)
+        assert op.products == corpus7.geodesics.dist.max() - 1 == 5
+
+    def test_complete_graph_needs_no_product(self):
+        op = _CountingOperator(K3.adjacency_operator)
+        geo = _all_pairs_bfs(op, K3.adjacency_matrix)
+        assert np.array_equal(geo.dist, K3.geodesics.dist)
+        assert op.products == 0
+
+
+class _CountingOperator:
+    """An adjacency operator that counts the products taken through it."""
+
+    def __init__(self, op):
+        self.op, self.products = op, 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return self.op @ other
 
 
 class TestAdjacencyOperator:
