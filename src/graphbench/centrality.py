@@ -212,19 +212,19 @@ def _walk_betweenness(st: GraphStack) -> np.ndarray:
     ``sum_i |x_i - x_v| = sum(x) - n x_v``, with ``x_u = T[u,u] - T[v,u]``,
     ``x_v = T[u,v] - T[v,v]`` and ``sum(x)`` from T's computed row sums.
 
-    The potentials are ``T = B^T`` for information's ``B = (D - A + U)^-1``,
-    symmetric up to rounding: any generalized inverse of the Laplacian
-    gives the same potential differences. :func:`invert` writes each
-    inverse Fortran-ordered, so ``B^T`` is C-contiguous without a copy.
-    Each graph's edges are padded to the stack's largest edge count with
-    ``(0, 0)``, an edge that adds exact zeros. Edges go in chunks of
-    ``_EDGE_CHUNK``, whose rows are gathered and sorted in place in
-    cache-sized blocks of ``_ROW_BLOCK``; each chunk then does one product
-    per graph with the rank weights and one accumulation per endpoint: a
-    product per block would round differently when a block holds one row.
+    The potentials are ``T = B`` for information's ``B = (D - A + U)^-1``,
+    which :func:`invert` returns exactly symmetric and C-ordered: any
+    generalized inverse of the Laplacian gives the same potential
+    differences. Each graph's edges are padded to the stack's largest edge
+    count with ``(0, 0)``, an edge that adds exact zeros. Edges go in
+    chunks of ``_EDGE_CHUNK``, whose rows are gathered, sorted in place and
+    multiplied by the rank weights in cache-sized blocks of
+    ``_ROW_BLOCK``; each chunk then does one accumulation per endpoint.
+    A product per block gives the bits of one per chunk on every tested
+    edge count, one-row blocks included.
     """
     k, n = len(st), st.n
-    t = np.ascontiguousarray(_inverse(st).transpose(0, 2, 1))
+    t = _inverse(st)
     t_rows, row_sums = t.reshape(k * n, n), t.sum(axis=2)
     # Each row's graph, and its edge endpoints as rows of t_rows and slots of acc.
     graph = np.arange(k)[:, None]
@@ -232,23 +232,23 @@ def _walk_betweenness(st: GraphStack) -> np.ndarray:
     acc = np.zeros(k * n)
     m = st.edges.shape[1]
     rank_weights = 2.0 * np.arange(n) - (n - 1)
-    ordered = np.empty((k, min(m, _EDGE_CHUNK), n))
-    scratch = np.empty((k, min(m, _ROW_BLOCK), n))
+    ordered = np.empty((k, min(m, _ROW_BLOCK), n))
+    scratch = np.empty_like(ordered)
     for lo in range(0, m, _EDGE_CHUNK):
         chunk = st.edges[:, lo : lo + _EDGE_CHUNK]
         u, v = chunk[..., 0], chunk[..., 1]
-        c = chunk.shape[1]
-        for b in range(0, c, _ROW_BLOCK):
+        # Sum of |x_i - x_j| over all pairs i<j, per edge.
+        total = np.empty(u.shape)
+        for b in range(0, u.shape[1], _ROW_BLOCK):
             bu, bv = u[:, b : b + _ROW_BLOCK], v[:, b : b + _ROW_BLOCK]
             w = bu.shape[1]
-            x, rows_v = ordered[:, b : b + w], scratch[:, :w]
+            x, rows_v = ordered[:, :w], scratch[:, :w]
             # In-range indices: mode="clip" lets take write into out uncopied.
             np.take(t_rows, bu + offset, axis=0, out=x, mode="clip")
             np.take(t_rows, bv + offset, axis=0, out=rows_v, mode="clip")
             x -= rows_v
             x.sort(axis=2)
-        # Sum of |x_i - x_j| over all pairs i<j, per edge.
-        total = ordered[:, :c] @ rank_weights
+            total[:, b : b + w] = x @ rank_weights
         sum_x = row_sums[graph, u] - row_sums[graph, v]
         pairs_u = n * (t[graph, u, u] - t[graph, v, u]) - sum_x
         pairs_v = sum_x - n * (t[graph, u, v] - t[graph, v, v])

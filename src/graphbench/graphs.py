@@ -236,7 +236,7 @@ def _all_pairs_bfs(op, adjacency: np.ndarray) -> GeodesicData:
     while unreached:
         frontier = op @ frontier
         frontier *= sigma == 0  # keep the counts that reach new vertices
-        newly = np.flatnonzero(frontier)
+        newly = np.flatnonzero(frontier != 0)  # a boolean scan beats a float one
         if not newly.size:
             break
         unreached -= newly.size

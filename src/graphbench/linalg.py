@@ -1,69 +1,82 @@
 """Dense real linear algebra at workbench scale (matrix order <= ~512).
 
-Thin contracts over LAPACK: the one inverse, of a matrix or of each matrix
-of a stack, goes through an LU factorization with partial pivoting so that
-numerically rank-deficient matrices are rejected by an explicit pivot
-threshold, and symmetric eigendecomposition returns eigenvalues in
-non-decreasing order with orthonormal vectors. Matrices are plain float64
-``numpy.ndarray`` values.
+Thin contracts over LAPACK: the one inverse, of a symmetric positive
+definite matrix or of each matrix of a stack, goes through a Cholesky
+factorization, so that numerically rank-deficient or indefinite matrices
+are rejected by an explicit pivot threshold, and symmetric
+eigendecomposition returns eigenvalues in non-decreasing order with
+orthonormal vectors. Matrices are plain float64 ``numpy.ndarray`` values.
 
-The inverse calls LAPACK ``dgetrf``/``dgetrs`` directly, the routines that
-``scipy.linalg.lu_factor``/``lu_solve`` wrap, so it matches their solve
-against the identity bit for bit without the wrappers' per-call cost.
-Their checks are kept here: non-finite input is rejected before LAPACK
-runs, and ``info < 0`` raises.
+The inverse calls LAPACK ``dpotrf``/``dpotri`` directly, in place on one
+copy of the input, without the ``scipy.linalg`` wrappers' per-call cost
+or copies. Their checks are kept here: non-finite input is rejected
+before LAPACK runs, and ``info < 0`` raises.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dpotrf, dpotri
 
 PIVOT_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 
 
 class SingularMatrixError(ValueError):
-    """Coefficient matrix is singular or numerically rank-deficient."""
+    """Coefficient matrix is singular, numerically rank-deficient or not
+    positive definite."""
+
+
+def _check_symmetric(a: np.ndarray) -> None:
+    if a.size and np.max(np.abs(a - a.swapaxes(-1, -2))) > SYMMETRY_TOL:
+        raise ValueError("matrix is not symmetric within tolerance")
 
 
 def invert(a: np.ndarray) -> np.ndarray:
-    """Inverse of square ``a``, or of each matrix of a ``(k, n, n)`` stack:
-    its LU factorization solved against the identity.
+    """Inverse of symmetric positive definite ``a``, or of each matrix of a
+    ``(k, n, n)`` stack, from its Cholesky factorization.
 
-    The shape and finiteness checks run once. Each matrix gets its own
-    ``dgetrf`` and ``dgetrs`` call, so every inverse is bit for bit that of
-    its matrix alone; each is written in place into its own
-    Fortran-ordered slot of the result, as ``dgetrs`` returns it.
+    The shape, finiteness and ``SYMMETRY_TOL`` checks run once. Each matrix
+    gets its own ``dpotrf`` and ``dpotri`` call, so every inverse is bit
+    for bit that of its matrix alone. LAPACK works in place on each
+    C-ordered slot of one copy of ``a``, seen as its Fortran-ordered
+    transpose: it reads and writes the upper triangle there, the slot's
+    lower one, which is then mirrored over the whole stack at once, so
+    every inverse is exactly symmetric and C-ordered.
 
-    Raises :class:`SingularMatrixError` when any pivot of any matrix's
-    partially-pivoted LU factorization falls below ``PIVOT_TOL``, before
-    any solve runs, and ``ValueError`` when ``a`` holds a NaN or infinity.
+    For a positive definite matrix the squared diagonal of the Cholesky
+    factor holds the pivots of unpivoted elimination. Raises
+    :class:`SingularMatrixError` when any matrix is not positive definite
+    (``info > 0``) or any squared diagonal entry falls below
+    ``PIVOT_TOL``, before any inverse is formed, and ``ValueError`` when
+    ``a`` holds a NaN or infinity or is asymmetric beyond ``SYMMETRY_TOL``.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"coefficient matrix must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("coefficient matrix must not contain infs or NaNs")
-    stack = a if a.ndim == 3 else a[None]
-    # An exactly zero pivot (info > 0) also fails the pivot check.
-    factors = [dgetrf(m) for m in stack]
-    for _, _, info in factors:
+    _check_symmetric(a)
+    out = np.array(a if a.ndim == 3 else a[None], order="C")
+    for m in out:
+        _, info = dpotrf(m.T, lower=0, clean=0, overwrite_a=1)
         if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrf")
-    pivots = np.abs([lu.diagonal() for lu, _, _ in factors])
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrf")
+        if info > 0:
+            raise SingularMatrixError(
+                f"leading minor of order {info} is not positive definite"
+            )
+    pivots = np.diagonal(out, axis1=1, axis2=2) ** 2
     if pivots.min() < PIVOT_TOL:
         raise SingularMatrixError(
-            f"pivot {pivots.min():.3e} below {PIVOT_TOL:.0e} after partial pivoting"
+            f"pivot {pivots.min():.3e} below {PIVOT_TOL:.0e} in the Cholesky factor"
         )
-    k, n = stack.shape[:2]
-    out = np.zeros((k, n, n))
-    out[:, np.arange(n), np.arange(n)] = 1.0
-    out = out.transpose(0, 2, 1)  # each identity slot Fortran-ordered
-    for (lu, piv, _), x in zip(factors, out):
-        _, info = dgetrs(lu, piv, x, overwrite_b=True)
+    for m in out:
+        _, info = dpotri(m.T, lower=0, overwrite_c=1)
         if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrs")
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dpotri")
+    n = out.shape[-1]
+    np.copyto(out, out.transpose(0, 2, 1), where=np.triu(np.ones((n, n), dtype=bool), 1))
     return out if a.ndim == 3 else out[0]
 
 
@@ -80,7 +93,6 @@ def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if a.size and np.max(np.abs(a - a.swapaxes(-1, -2))) > SYMMETRY_TOL:
-        raise ValueError("matrix is not symmetric within tolerance")
+    _check_symmetric(a)
     w, v = np.linalg.eigh(a)
     return w, v

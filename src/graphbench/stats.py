@@ -15,12 +15,15 @@ Tau-b is ``G[a, b] / sqrt(G[a, a] * G[b, b])``: concordant minus
 discordant pairs over the geometric mean of the pair counts not tied in
 each variable, which is the standard tie correction. Pairs tied in
 either variable add nothing to the numerator. For a stack, each sample
-has its own ``G``, all taken by one batched product per block. ``G`` is
-accumulated in float64 over blocks of vertices sized so that a block
-holds about ``_TAU_SIGNS`` signs (1 MB), so no ``(k, n**2)`` or n×n
-float64 array is held. Every entry is an integer below 2**53, so the
-sum is exact whatever the block, stack or BLAS summation order, and the
-doubling cancels exactly: the result is the float of pair counting.
+has its own ``G``, all taken by one batched product per block. The
+signs are float32, and ``G`` is accumulated in float64 over blocks of
+vertices sized so that a block holds about ``_TAU_SIGNS`` signs (512 KB),
+so no ``(k, n**2)`` or n×n array is held. A block's product sums block
+× n <= 2**24 signs per entry (asserted), so its partial sums are integers
+exact in float32, and every entry of ``G`` is an integer below 2**53,
+exact in float64. So the sum is exact whatever the block, stack or BLAS
+summation order, and the doubling cancels exactly: the result is the
+float of pair counting.
 NaN and infinite inputs are rejected with :class:`ValueError`.
 Degenerate inputs are pinned by convention: two constant vectors
 correlate at 1.0 (identical trivial rankings), exactly one constant
@@ -49,8 +52,8 @@ import numpy as np
 
 TAU_CONVENTIONS = {"both_constant": 1.0, "one_constant": 0.0}
 
-# Signs per block of the sign matrix, about 1 MB of float64: eight rows
-# at n = 500 take blocks of 32 vertices.
+# Signs per block of the sign matrix, 512 KB of float32: eight rows at
+# n = 500 take blocks of 32 vertices.
 _TAU_SIGNS = 1 << 17
 
 _SIX_PLACES = decimal.Decimal("0.000001")
@@ -75,10 +78,12 @@ def kendall_tau_b_matrix(rows) -> np.ndarray:
     if not np.isfinite(stack).all():
         raise ValueError("inputs must be finite (no NaN or inf)")
     block = max(1, _TAU_SIGNS // max(1, s * k * n))
+    assert block * n <= 1 << 24, "float32 sign products are exact below 2**24"
     gram = np.zeros((s, k, k))
     for lo in range(0, n, block):
-        signs = stack[:, :, lo : lo + block, None] - stack[:, :, None, :]
-        signs = np.sign(signs, out=signs).reshape(s, k, -1)
+        x, y = stack[:, :, lo : lo + block, None], stack[:, :, None, :]
+        # sign(x - y) from two exact compares, with no float64 difference.
+        signs = np.subtract(x > y, x < y, dtype=np.float32).reshape(s, k, -1)
         gram += signs @ signs.swapaxes(1, 2)
     untied = np.diagonal(gram, axis1=1, axis2=2)
     denom = np.sqrt(untied[:, :, None] * untied[:, None, :])

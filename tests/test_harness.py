@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -584,7 +585,7 @@ class TestRun:
         assert pools == [(2, dict.fromkeys(harness._WORKER_ENV, "1"))]
 
     def test_roll_ups_do_not_depend_on_blas_threads(self, tmp_path):
-        # Through a threaded eigh and LU, the n = 500 scale-free samples'
+        # Through a threaded eigh and Cholesky, the n = 500 scale-free samples'
         # float noise splits tied scores differently at 1 and 2 threads,
         # unless equal scores are stored equal.
         config = {
@@ -692,6 +693,34 @@ class TestTables:
         for line in lines[1:]:
             cells = line.split(",")[1:]
             assert all(cells), line  # both groups present here
+
+    def test_desk_rollups_match_pinned_hashes(self, tmp_path):
+        # sha256 of each roll-up of one sample of every n = 100 desk cell
+        # (the cs cells fail to connect) and the n = 5 census. Measures
+        # store equal scores equal, so the roll-ups do not depend on the
+        # BLAS thread count and this runs in-process. A kernel change that
+        # is meant to be exact leaves every pin as it is.
+        desk = json.loads((ROOT / "configs" / "desk_experiment.json").read_text())
+        plan = plan_experiments({
+            "models": [{**entry, "n": [100]} for entry in desk["models"]]
+                      + [{"model": "nonisomorphic", "n": [5]}],
+            "samples_per_cell": 1,
+            "base_seed": desk["base_seed"],
+            "output_dir": str(tmp_path),
+        })
+        results = run_experiment(plan)
+        assert (len(results), sum(r.error is None for r in results)) == (45, 39)
+        digests = {name: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+                   for name, file in TABLE_FILES.items()}
+        assert digests == {
+            "correlation": "9d6ef58ae73a4c69a04c9bff34e466f7a8225ebe7d231a623b15a1d29fb1ae19",
+            "correlation_by_model":
+                "336e73a7f130dc56119d6899d63b9f2d2108b92f30ef42d6a29d883aa6b53eff",
+            "granularity": "c3b2d3861306403cced8773b746f97b92de2d1065b427b8ee8b371c4e798582e",
+            "granularity_by_size":
+                "2119321d382a318916ff03a87bd2a1d9f55972bd9bdcbb1090aa38618c6bbaef",
+            "best": "6be823afd2dd9b0df5581976dd9d5a075ca39eb8f73ace278c09d078ee6f4cc8",
+        }
 
     def test_single_network_granularity_omits_half_width(self, tmp_path):
         config = {

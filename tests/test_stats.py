@@ -24,7 +24,7 @@ from graphbench import (
     mean_ci,
 )
 from graphbench import stats
-from graphbench.stats import distinct_counts, kendall_tau_b_matrix, round6
+from graphbench.stats import TAU_CONVENTIONS, distinct_counts, kendall_tau_b_matrix, round6
 
 
 class TestKendallTauB:
@@ -204,6 +204,29 @@ class TestKendallTauBMatrix:
             [0.0, -1.0, 0.0, 1.0],
         ]
         assert single.tolist() == [[1.0]]
+
+    def test_one_vertex_blocks_stay_exact(self):
+        # Eight rows at n = 8193 take blocks of one vertex, so each float32
+        # block product sums n signs per entry. The rows hold ties, gaps
+        # of one subnormal step that no float32 holds, and two constant
+        # rows. The pair oracle takes 0.3 s a pair at this n, so it checks
+        # the pairs of the first two rows; the conventions are checked whole.
+        n = 8193
+        assert stats._TAU_SIGNS // (8 * n) == 1
+        rng = np.random.default_rng(29)
+        ranks = rng.permutation(n).astype(float)
+        small = rng.integers(0, 4, n).astype(float)
+        rows = np.stack([ranks, small, np.full(n, 3.0), -ranks, small * 5e-324,
+                         np.zeros(n), rng.standard_normal(n), np.round(ranks / n, 1)])
+        tau = kendall_tau_b_matrix(rows)
+        for a in (0, 1):
+            for b in range(a + 1, 8):
+                assert tau[a, b] == order_matrix_kendall_tau_b(rows[a], rows[b]), (a, b)
+        assert tau[0, 3] == -1.0 and tau[1, 4] == 1.0
+        constant = np.isin(np.arange(8), (2, 5))
+        assert np.all(tau[np.ix_(constant, constant)] == TAU_CONVENTIONS["both_constant"])
+        assert np.all(tau[np.ix_(constant, ~constant)] == TAU_CONVENTIONS["one_constant"])
+        assert np.array_equal(tau, tau.T)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
