@@ -1,7 +1,8 @@
 """Eight vertex centrality measures for connected simple graphs.
 
 Every measure maps a :class:`~graphbench.graphs.Graph` to a
-:class:`CentralityVector` of raw, unnormalized per-vertex scores:
+:class:`CentralityVector` of per-vertex scores, snapped into tie classes
+(:data:`TIE_TOL`):
 
 * ``degree``          -- number of adjacent vertices;
 * ``closeness``       -- reciprocal of the summed geodesic distances;
@@ -27,11 +28,14 @@ are kept on the stack: one stacked :func:`invert` gives B to
 information and walk betweenness, one stacked :func:`sym_eigen` of the
 adjacency gives subgraph and eigenvector their eigenpairs. The stack
 builds its adjacency, degrees and geodesics once for all eight kernels; a
-stack of one takes them from its graph as views. Betweenness multiplies a
-lone CSR graph (:attr:`~graphbench.graphs.Graph.adjacency_operator`)
-sparsely and every larger stack densely, so every row of a stack of dense
-graphs, the census included, is bit for bit that of its stack of one.
-:func:`measure_stack` checks a stack once and stores equal scores equal
+stack of one takes them from its graph as views.
+
+Census rows (n <= 7) are bit for bit their stack of one, as measured on
+every census stack; a larger stack's rows may differ from theirs in the
+last bits. Betweenness multiplies a lone CSR graph
+(:attr:`~graphbench.graphs.Graph.adjacency_operator`) sparsely and a
+larger stack densely, and BLAS may round a row of walk betweenness's
+matrix-vector product by its block's row count. :func:`measure_stack` checks a stack once and stores equal scores equal
 (:data:`TIE_TOL`); :func:`compute_measure` and :func:`all_measures`
 score one graph as its stack of one.
 
@@ -65,7 +69,6 @@ SHORT_LABELS = {
 
 TIE_TOL = 1e-9
 _ROW_SUM_TOL = 1e-8
-_EDGE_CHUNK = 2048
 _ROW_BLOCK = 128
 
 
@@ -215,45 +218,38 @@ def _walk_betweenness(st: GraphStack) -> np.ndarray:
     The potentials are ``T = B`` for information's ``B = (D - A + U)^-1``,
     which :func:`invert` returns exactly symmetric and C-ordered: any
     generalized inverse of the Laplacian gives the same potential
-    differences. Each graph's edges are padded to the stack's largest edge
-    count with ``(0, 0)``, an edge that adds exact zeros. Edges go in
-    chunks of ``_EDGE_CHUNK``, whose rows are gathered, sorted in place and
-    multiplied by the rank weights in cache-sized blocks of
-    ``_ROW_BLOCK``; each chunk then does one accumulation per endpoint.
-    A product per block gives the bits of one per chunk on every tested
-    edge count, one-row blocks included.
+    differences. The stack's edges are one flat array whose endpoints
+    number the rows of ``B.reshape(k * n, n)``; they are gathered, sorted
+    in place and multiplied by the rank weights in cache-sized blocks of
+    ``_ROW_BLOCK`` rows, and then accumulated with one ``np.add.at`` per
+    endpoint.
     """
     k, n = len(st), st.n
-    t = _inverse(st)
-    t_rows, row_sums = t.reshape(k * n, n), t.sum(axis=2)
-    # Each row's graph, and its edge endpoints as rows of t_rows and slots of acc.
-    graph = np.arange(k)[:, None]
-    offset = graph * n
-    acc = np.zeros(k * n)
-    m = st.edges.shape[1]
+    # Row r holds the potentials of vertex r % n of graph r // n.
+    t = _inverse(st).reshape(k * n, n)
+    u, v = st.edges.T
+    m = len(u)
     rank_weights = 2.0 * np.arange(n) - (n - 1)
-    ordered = np.empty((k, min(m, _ROW_BLOCK), n))
+    ordered = np.empty((min(m, _ROW_BLOCK), n))
     scratch = np.empty_like(ordered)
-    for lo in range(0, m, _EDGE_CHUNK):
-        chunk = st.edges[:, lo : lo + _EDGE_CHUNK]
-        u, v = chunk[..., 0], chunk[..., 1]
-        # Sum of |x_i - x_j| over all pairs i<j, per edge.
-        total = np.empty(u.shape)
-        for b in range(0, u.shape[1], _ROW_BLOCK):
-            bu, bv = u[:, b : b + _ROW_BLOCK], v[:, b : b + _ROW_BLOCK]
-            w = bu.shape[1]
-            x, rows_v = ordered[:, :w], scratch[:, :w]
-            # In-range indices: mode="clip" lets take write into out uncopied.
-            np.take(t_rows, bu + offset, axis=0, out=x, mode="clip")
-            np.take(t_rows, bv + offset, axis=0, out=rows_v, mode="clip")
-            x -= rows_v
-            x.sort(axis=2)
-            total[:, b : b + w] = x @ rank_weights
-        sum_x = row_sums[graph, u] - row_sums[graph, v]
-        pairs_u = n * (t[graph, u, u] - t[graph, v, u]) - sum_x
-        pairs_v = sum_x - n * (t[graph, u, v] - t[graph, v, v])
-        np.add.at(acc, u + offset, total - pairs_u)
-        np.add.at(acc, v + offset, total - pairs_v)
+    # Sum of |x_i - x_j| over all pairs i<j, per edge.
+    total = np.empty(m)
+    for b in range(0, m, _ROW_BLOCK):
+        bu, bv = u[b : b + _ROW_BLOCK], v[b : b + _ROW_BLOCK]
+        x, rows_v = ordered[: len(bu)], scratch[: len(bu)]
+        # In-range indices: mode="clip" lets take write into out uncopied.
+        np.take(t, bu, axis=0, out=x, mode="clip")
+        np.take(t, bv, axis=0, out=rows_v, mode="clip")
+        x -= rows_v
+        x.sort(axis=1)
+        total[b : b + len(bu)] = x @ rank_weights
+    row_sums = t.sum(axis=1)
+    sum_x = row_sums[u] - row_sums[v]
+    pairs_u = n * (t[u, u % n] - t[v, u % n]) - sum_x
+    pairs_v = sum_x - n * (t[u, v % n] - t[v, v % n])
+    acc = np.zeros(k * n)
+    np.add.at(acc, u, total - pairs_u)
+    np.add.at(acc, v, total - pairs_v)
     return 0.5 * acc.reshape(k, n) + (n - 1)
 
 
@@ -298,9 +294,9 @@ def _snap(scores: np.ndarray) -> np.ndarray:
 def measure_stack(graphs, measure: str) -> np.ndarray:
     """The ``(k, n)`` scores of ``measure`` for k graphs on one vertex count,
     given as a :class:`~graphbench.graphs.GraphStack` or any sequence of
-    graphs. Each row of a dense graph is bit for bit that of its stack of
-    one; in a larger stack a CSR graph's betweenness rounds as a dense
-    product does. The stack's adjacency, degrees and geodesics are built
+    graphs. Census rows (n <= 7) are bit for bit their stack of one; the
+    rows of a larger stack may differ from theirs in the last bits (see
+    the module docstring). The stack's adjacency, degrees and geodesics are built
     once, on its first measure that needs them, as are its two
     factorizations, and every check runs once per stack: one vertex count,
     connectivity where the measure needs it, enough vertices, and finite,

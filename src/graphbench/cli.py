@@ -22,6 +22,7 @@ import argparse
 import csv
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -219,7 +220,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a configured experiment")
     p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                   help="worker processes (default: the core count)")
     p.add_argument("--keep-vectors", action="store_true",
                    help="persist full centrality vectors per sample")
     p.add_argument("--output-dir", help="override the config's output_dir")

@@ -252,8 +252,8 @@ class GraphStack(tuple):
     """A tuple of k graphs on one vertex count n, with the arrays that every
     measure of the stack shares, each built once on first use:
     ``(k, n, n)`` :attr:`adjacency`, ``(k, n)`` :attr:`degrees`, stacked
-    :attr:`geodesics`, per-graph :attr:`connected`, and padded
-    :attr:`edges`.
+    :attr:`geodesics`, per-graph :attr:`connected`, and one flat
+    :attr:`edges` array.
 
     A stack of one takes its graph's cached arrays as views, so its
     geodesics run on the graph's own operator, dense or CSR. A larger
@@ -304,13 +304,9 @@ class GraphStack(tuple):
 
     @cached_property
     def edges(self) -> np.ndarray:
-        """``(k, m, 2)`` int64: each graph's :attr:`Graph.edges`, padded
-        with ``(0, 0)`` to the stack's largest edge count m (read-only)."""
-        if len(self) == 1:
-            return self[0].edges[None]
-        e = np.zeros((len(self), max(g.m for g in self), 2), dtype=np.int64)
-        for row, g in zip(e, self):
-            row[: g.m] = g.edges
+        """``(E, 2)`` int64: every graph's :attr:`Graph.edges` in stack
+        order, graph i's vertices numbered from ``i * n`` (read-only)."""
+        e = np.concatenate([g.edges + i * self.n for i, g in enumerate(self)])
         e.flags.writeable = False
         return e
 
@@ -335,18 +331,18 @@ def connected_stack(n: int, bits: np.ndarray) -> GraphStack:
     geo = _all_pairs_bfs(adjacency, adjacency)
     keep = (geo.dist[:, 0] != UNREACHABLE).all(axis=1)
     adjacency, dist, sigma = adjacency[keep], geo.dist[keep], geo.sigma[keep]
-    # Each graph's edges in canonical order, (0, 0)-padded to the largest m.
+    # Every graph's edges in canonical order, graph after graph.
     order = np.lexsort((j, i))
     bits = bits[keep][:, order]
-    counts = bits.sum(axis=1)
-    edges = np.zeros((len(bits), counts.max(initial=0), 2), dtype=np.int64)
     rows, cols = np.nonzero(bits)
-    edges[rows, bits.cumsum(axis=1)[rows, cols] - 1] = pairs[order][cols]
-    for array in (adjacency, dist, sigma, edges):
+    local = pairs[order][cols]
+    edges = local + n * rows[:, None]
+    for array in (adjacency, dist, sigma, local, edges):
         array.flags.writeable = False
     graphs = []
-    for e, m, a, d, s in zip(edges, counts.tolist(), adjacency, dist, sigma):
-        g = Graph._canonical(n, e[:m])
+    split = np.split(local, np.cumsum(bits.sum(axis=1))[:-1])
+    for e, a, d, s in zip(split, adjacency, dist, sigma):
+        g = Graph._canonical(n, e)
         vars(g).update(connected=True, adjacency_matrix=a,
                        geodesics=GeodesicData(dist=d, sigma=s))
         graphs.append(g)

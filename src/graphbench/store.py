@@ -169,7 +169,8 @@ def load_results(results_dir) -> list[RunResult]:
     """Load persisted sample records in canonical cell/sample order.
 
     A record that is not JSON, whose keys are not exactly those
-    :meth:`RunResult.to_dict` writes, whose file is not named after its
+    :meth:`RunResult.to_dict` writes, whose ``cell_index`` or
+    ``sample_index`` is not an int >= 0, whose file is not named after its
     own cell and sample (so a copied record cannot count twice), or whose
     ``tau`` fails :func:`_check_tau`, raises :class:`ValueError` naming
     its file.
@@ -191,11 +192,12 @@ def load_results(results_dir) -> list[RunResult]:
                 f"{path}: not a sample record (missing keys {missing}, "
                 f"unknown keys {unknown})"
             )
-        try:
-            name = _record_name(record["cell_index"], record["sample_index"])
-        except (TypeError, ValueError):
-            name = None
-        if path.name != name:
+        index = record["cell_index"], record["sample_index"]
+        if not all(type(i) is int and i >= 0 for i in index):
+            raise ValueError(
+                f"{path}: cell_index and sample_index must be ints >= 0, got {index}"
+            )
+        if path.name != _record_name(*index):
             raise ValueError(
                 f"{path}: file name does not match its record (cell_index "
                 f"{record['cell_index']!r}, sample_index {record['sample_index']!r})"

@@ -11,7 +11,7 @@ float64 score's error and tell which scores are truly equal.
 
 The ``unblocked_*``, ``order_matrix_*`` and ``dense_*`` functions are the
 exception: they keep the earlier, simpler forms of optimised kernels
-(whole-chunk walk betweenness, float64 sign-matrix and boolean
+(whole-array walk betweenness, float64 sign-matrix and boolean
 order-matrix tau-b, all-sources BFS and betweenness through the dense
 adjacency matrix), so tests can demand exact equality, not a tolerance,
 of the optimised ones.
@@ -270,30 +270,30 @@ def random_tree(n, rng):
     return Graph(n, edges)
 
 
-def unblocked_walk_betweenness(g, edge_chunk=2048):
-    """Walk betweenness with whole-chunk (chunk, n) float64 temporaries and
-    the kernel's O(1) endpoint sums."""
+def unblocked_walk_betweenness(g):
+    """Walk betweenness with whole-array (m, n) float64 gathers and sorts,
+    the kernel's O(1) endpoint sums and one accumulation."""
     from graphbench.linalg import invert
 
     n = g.n
-    # The kernel's potentials: the transpose of B = (D - A + U)^-1.
-    t = invert(np.diag(g.degrees.astype(float)) - g.adjacency_matrix + 1.0).T
-    row_sums = t.sum(axis=1)
-    acc = np.zeros(n)
-    edges = g.edges
+    # The kernel's potentials, the rows of B = (D - A + U)^-1, read through
+    # its transpose; the row sums are B's own, as the kernel takes them.
+    b = invert(np.diag(g.degrees.astype(float)) - g.adjacency_matrix + 1.0)
+    t, row_sums = b.T, b.sum(axis=1)
+    u, v = g.edges.T
+    rows = np.arange(g.m)
+    x = t[u] - t[v]
+    # The kernel's endpoint sums, n x_u - sum(x) and sum(x) - n x_v.
+    sum_x = row_sums[u] - row_sums[v]
+    pairs_u = n * x[rows, u] - sum_x
+    pairs_v = sum_x - n * x[rows, v]
+    x.sort(axis=1)
+    # A matrix-vector product can round a row by the block's row count,
+    # so the products run in the kernel's 128-row blocks.
     rank_weights = 2.0 * np.arange(n) - (n - 1)
-    for lo in range(0, len(edges), edge_chunk):
-        chunk = edges[lo : lo + edge_chunk]
-        u, v = chunk[:, 0], chunk[:, 1]
-        x = t[u] - t[v]
-        total = np.sort(x, axis=1) @ rank_weights
-        # The kernel's endpoint sums, n x_u - sum(x) and sum(x) - n x_v.
-        rows = np.arange(len(chunk))
-        sum_x = row_sums[u] - row_sums[v]
-        pairs_u = n * x[rows, u] - sum_x
-        pairs_v = sum_x - n * x[rows, v]
-        np.add.at(acc, u, total - pairs_u)
-        np.add.at(acc, v, total - pairs_v)
+    total = np.concatenate([x[lo : lo + 128] @ rank_weights for lo in range(0, g.m, 128)])
+    acc = np.zeros(n)
+    np.add.at(acc, np.concatenate((u, v)), np.concatenate((total - pairs_u, total - pairs_v)))
     return 0.5 * acc + (n - 1)
 
 

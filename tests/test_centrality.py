@@ -261,8 +261,11 @@ class TestStacks:
         # when they began to read the stack's eigh and B, walk
         # betweenness's again when its endpoint sums became the O(1)
         # maximum-principle formula, and information's and walk
-        # betweenness's when B became the Cholesky inverse. The census
-        # corpora run as whole stacks; each drawn sample is a stack of one.
+        # betweenness's when B became the Cholesky inverse, and walk
+        # betweenness's on the graphs above 2,048 edges (er500, gr484,
+        # cs500) when it began to accumulate every u-end before every
+        # v-end. The census corpora run as whole stacks; each drawn sample
+        # is a stack of one.
         pinned = {
             "corpus6": {
                 "betweenness": "4605787899557a96",
@@ -304,7 +307,7 @@ class TestStacks:
                 "eigenvector": "b12d1952b37c9bc2",
                 "information": "ae58bbf8f7ee3564",
                 "subgraph": "ecadc1169ee0e255",
-                "walk_betweenness": "54f242a8dcd681c3",
+                "walk_betweenness": "a984a184c057623e",
             },
             "gr484": {
                 "operator": "ndarray",
@@ -315,7 +318,7 @@ class TestStacks:
                 "eigenvector": "c248ec8e7634ddc6",
                 "information": "988fa740bcdf1cb0",
                 "subgraph": "f1328dae8d3e6c2b",
-                "walk_betweenness": "c42cb671da184b27",
+                "walk_betweenness": "6d5cad6a0549b623",
             },
             "cs500": {
                 "operator": "ndarray",
@@ -326,7 +329,7 @@ class TestStacks:
                 "eigenvector": "f4673d2b9623c8ba",
                 "information": "f7fc9a1e447c0999",
                 "subgraph": "5c023519216d1424",
-                "walk_betweenness": "97342e6a907511ae",
+                "walk_betweenness": "3afb6f82eae61403",
             },
             "sw500": {
                 "operator": "csr_array",
@@ -398,9 +401,8 @@ class TestWalkBetweenness:
             compute_measure(Graph(3, [(0, 1)]), "walk_betweenness")
 
     # Edge counts inside one row block, with a one-row last block (385,
-    # 2049, 2177), a full chunk (2048) and more than two chunks (4500).
-    # The kernel takes its matrix-vector product per row block, the oracle
-    # per chunk; every case, one-row blocks included, gives the same bits.
+    # 2049, 2177), and larger (2048, 4500). The kernel gathers and sorts
+    # per row block, the oracle the whole edge array at once.
     @pytest.mark.parametrize("n, m", [(60, 90), (200, 385), (500, 2048),
                                       (500, 2049), (500, 2177), (300, 4500)])
     def test_bit_identical_to_unblocked_kernel(self, n, m):
@@ -417,27 +419,27 @@ def _explicit_walk_betweenness(stack):
     ``x_i - x_u <= 0`` and ``x_i - x_v >= 0``, so the two sums are
     ``n x_u - sum(x)`` and ``sum(x) - n x_v``."""
     k, n = len(stack), stack.n
-    t = np.swapaxes(_inverse(stack), 1, 2)
-    graph = np.arange(k)[:, None]
+    # The stack's edge endpoints number the rows of all k potentials at once.
+    t = np.swapaxes(_inverse(stack), 1, 2).reshape(k * n, n)
     rank_weights = 2.0 * np.arange(n) - (n - 1)
-    acc = np.zeros((k, n))
-    for lo in range(0, stack.edges.shape[1], 256):
-        u, v = np.moveaxis(stack.edges[:, lo : lo + 256], 2, 0)
-        x = t[graph, u] - t[graph, v]
-        x_u = np.take_along_axis(x, u[..., None], axis=2)
-        x_v = np.take_along_axis(x, v[..., None], axis=2)
-        scale = 1e-12 * np.abs(x).max(axis=2)
-        assert np.all((x - x_u).max(axis=2) <= scale)
-        assert np.all((x_v - x).max(axis=2) <= scale)
-        pairs_u = np.abs(x - x_u).sum(axis=2)
-        pairs_v = np.abs(x - x_v).sum(axis=2)
-        sum_x = x.sum(axis=2)
-        assert np.all(np.abs(n * x_u[..., 0] - sum_x - pairs_u) <= 1e-12 * pairs_u)
-        assert np.all(np.abs(sum_x - n * x_v[..., 0] - pairs_v) <= 1e-12 * pairs_v)
-        total = np.sort(x, axis=2) @ rank_weights
-        np.add.at(acc, (graph, u), total - pairs_u)
-        np.add.at(acc, (graph, v), total - pairs_v)
-    return 0.5 * acc + (n - 1)
+    acc = np.zeros(k * n)
+    for lo in range(0, len(stack.edges), 256):
+        u, v = stack.edges[lo : lo + 256].T
+        rows = np.arange(len(u))
+        x = t[u] - t[v]
+        x_u, x_v = x[rows, u % n, None], x[rows, v % n, None]
+        scale = 1e-12 * np.abs(x).max(axis=1)
+        assert np.all((x - x_u).max(axis=1) <= scale)
+        assert np.all((x_v - x).max(axis=1) <= scale)
+        pairs_u = np.abs(x - x_u).sum(axis=1)
+        pairs_v = np.abs(x - x_v).sum(axis=1)
+        sum_x = x.sum(axis=1)
+        assert np.all(np.abs(n * x_u[:, 0] - sum_x - pairs_u) <= 1e-12 * pairs_u)
+        assert np.all(np.abs(sum_x - n * x_v[:, 0] - pairs_v) <= 1e-12 * pairs_v)
+        total = np.sort(x, axis=1) @ rank_weights
+        np.add.at(acc, u, total - pairs_u)
+        np.add.at(acc, v, total - pairs_v)
+    return 0.5 * acc.reshape(k, n) + (n - 1)
 
 
 class TestMaximumPrinciple:

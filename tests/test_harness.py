@@ -489,6 +489,11 @@ class TestRun:
         record = json.loads(path.read_text())
         for text in (json.dumps({**record, "typo": 1}),
                      json.dumps({**record, "cell_index": "0"}),
+                     # A bool, float or negative index, which the file name
+                     # alone would not catch: f"{False:04d}" is "0000".
+                     json.dumps({**record, "sample_index": False}),
+                     json.dumps({**record, "cell_index": 0.0}),
+                     json.dumps({**record, "cell_index": -1}),
                      json.dumps({k: v for k, v in record.items() if k != "retries"}),
                      json.dumps(record)[:-1]):
             path.write_text(text)
@@ -990,6 +995,21 @@ class TestCli:
         after = {path: path.read_bytes() for path in out_dir.rglob("*") if path.is_file()}
         assert after == before
 
+    @pytest.mark.parametrize("cores, workers", [(5, 5), (None, 1)])
+    def test_experiment_defaults_to_core_count(self, tmp_path, monkeypatch, cores, workers):
+        seen = []
+
+        def run(plan, workers, keep_vectors):
+            seen.append(workers)
+            return []
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(cli, "run_experiment", run)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_tiny_config(tmp_path / "results")))
+        assert cli_main(["experiment", "--config", str(config)]) == 0
+        assert seen == [workers]
+
     def test_partial_failure_exit_code(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
@@ -1047,7 +1067,8 @@ class TestCli:
         blocker.write_text("")
         config = tmp_path / "config.json"
         config.write_text(json.dumps(_tiny_config(blocker / "results")))
-        assert cli_main(["experiment", "--config", str(config)]) == 2
+        # In process, where the patch holds.
+        assert cli_main(["experiment", "--config", str(config), "--workers", "1"]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("error:")]
         assert len(errors) == 1 and "Not a directory" in errors[0]

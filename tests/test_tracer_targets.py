@@ -2,8 +2,9 @@
 by module and attribute name. A name that no longer resolves is reported
 absent by a traced run, whose metrics for it then read null, so every
 entry of its ``TARGETS`` must resolve here. The benchmark's worker
-(``perfbench/child.py``) calls functions on ``graphbench.harness``; a name
-missing there breaks every benchmark run, so each must resolve too."""
+(``perfbench/child.py``) calls functions on ``graphbench.harness``, and
+imports others by name inside its functions; a name missing there breaks
+every benchmark run, so each must resolve too."""
 
 import ast
 import importlib
@@ -14,6 +15,17 @@ import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 CHILD = TRACING.with_name("child.py")
+
+
+def _perfbench_imports() -> list[tuple[str, str, str]]:
+    """Every ``from graphbench.<module> import <name>`` in ``perfbench/*.py``,
+    at any depth, as ``(file, module, name)``."""
+    found = []
+    for path in sorted(TRACING.parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("graphbench."):
+                found.extend((path.name, node.module, alias.name) for alias in node.names)
+    return found
 
 
 def _tracer_targets() -> dict:
@@ -46,3 +58,12 @@ def test_child_harness_reads_resolve():
     harness = importlib.import_module("graphbench.harness")
     missing = sorted(name for name in names if not callable(getattr(harness, name, None)))
     assert not missing, f"graphbench.harness lacks {missing}, which perfbench/child.py calls"
+
+
+@pytest.mark.parametrize("module_name, name", [
+    pytest.param(module_name, name, id=f"{file}:{module_name}.{name}")
+    for file, module_name, name in _perfbench_imports()
+])
+def test_perfbench_import_resolves(module_name, name):
+    holder = importlib.import_module(module_name)
+    assert callable(getattr(holder, name, None)), f"{module_name}.{name} is not a callable"
