@@ -255,9 +255,9 @@ class GraphStack(tuple):
     :attr:`geodesics`, per-graph :attr:`connected`, and one flat
     :attr:`edges` array.
 
-    A stack of one takes its graph's cached arrays as views, so its
-    geodesics run on the graph's own operator, dense or CSR. A larger
-    stack runs one dense BFS over its stacked adjacency.
+    A stack of one takes its graph's cached adjacency and geodesics as
+    views, so its geodesics run on the graph's own operator, dense or CSR.
+    A larger stack runs one dense BFS over its stacked adjacency.
     :func:`connected_stack` hands the census its stack with every array
     already known. ``GraphStack(stack)`` is ``stack``.
     """
