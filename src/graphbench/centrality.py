@@ -143,10 +143,14 @@ def _betweenness(st: GraphStack) -> np.ndarray:
 
 
 def _kept(build):
-    """``build(stack)``, made on a stack's first use and kept on the stack."""
+    """``build(stack)``, made on a stack's first use and kept on the stack,
+    its arrays read-only like the stack's own."""
     def kept(st: GraphStack):
         if build.__name__ not in vars(st):
-            vars(st)[build.__name__] = build(st)
+            value = build(st)
+            for array in value if isinstance(value, tuple) else (value,):
+                array.flags.writeable = False
+            vars(st)[build.__name__] = value
         return vars(st)[build.__name__]
     return kept
 

@@ -40,7 +40,7 @@ from .graphs import format_edge_list, format_graph6, parse_edge_list
 from .harness import run_experiment
 from .plan import ConfigError, plan_experiments
 from .stats import kendall_tau_b
-from .store import HEATMAP_FILE, load_results, recorded_confidence
+from .store import HEATMAP_FILE, load_results, load_run
 from .tables import correlation_matrix, emit_heatmap, write_all_tables
 
 
@@ -166,9 +166,9 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    results = load_results(args.results)
+    results, confidence = load_run(args.results)
     out_dir = args.out_dir if args.out_dir else args.results
-    paths = write_all_tables(results, out_dir, recorded_confidence(args.results))
+    paths = write_all_tables(results, out_dir, confidence)
     for name in sorted(paths):
         print(paths[name], file=sys.stderr)
     return 0

@@ -298,7 +298,9 @@ def community_structure(n: int, p_c: float, p: float, c: int, seed: int) -> Grap
     check_params("cs", n, {"p_c": p_c, "p": p, "c": c})
     rng = _rng(seed)
     member = rng.random((n, c)) < p_c
-    shared = (member.astype(np.int64) @ member.T.astype(np.int64)) > 0
+    # Shared-community counts are at most c, exact in float64, whose product runs in BLAS.
+    member = member.astype(float)
+    shared = (member @ member.T) > 0
     return _pair_trials(n, _upper(n, p * shared), rng)
 
 

@@ -272,6 +272,18 @@ class GraphStack(tuple):
         (self.n,) = sizes
         return self
 
+    def __setstate__(self, state):
+        # numpy does not pickle the writeable flag, so a stack sent to a
+        # pool worker would arrive with writeable arrays: clear it again on
+        # every cached array, those of a tuple or GeodesicData included.
+        for value in state.values():
+            if isinstance(value, GeodesicData):
+                value = tuple(vars(value).values())
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
+        vars(self).update(state)
+
     @cached_property
     def adjacency(self) -> np.ndarray:
         """``(k, n, n)`` 0/1 adjacency matrices as float64 (read-only)."""
@@ -299,8 +311,10 @@ class GraphStack(tuple):
 
     @cached_property
     def connected(self) -> np.ndarray:
-        """``(k,)`` bool: each graph's :attr:`Graph.connected`."""
-        return np.array([g.connected for g in self])
+        """``(k,)`` bool: each graph's :attr:`Graph.connected` (read-only)."""
+        c = np.array([g.connected for g in self])
+        c.flags.writeable = False
+        return c
 
     @cached_property
     def edges(self) -> np.ndarray:
@@ -337,7 +351,8 @@ def connected_stack(n: int, bits: np.ndarray) -> GraphStack:
     rows, cols = np.nonzero(bits)
     local = pairs[order][cols]
     edges = local + n * rows[:, None]
-    for array in (adjacency, dist, sigma, local, edges):
+    connected = np.ones(len(adjacency), dtype=bool)
+    for array in (adjacency, dist, sigma, local, edges, connected):
         array.flags.writeable = False
     graphs = []
     split = np.split(local, np.cumsum(bits.sum(axis=1))[:-1])
@@ -348,7 +363,7 @@ def connected_stack(n: int, bits: np.ndarray) -> GraphStack:
         graphs.append(g)
     stack = GraphStack(graphs)
     vars(stack).update(adjacency=adjacency, geodesics=GeodesicData(dist=dist, sigma=sigma),
-                       connected=np.ones(len(graphs), dtype=bool), edges=edges)
+                       connected=connected, edges=edges)
     return stack
 
 

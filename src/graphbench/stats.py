@@ -14,16 +14,19 @@ and b, and ``G[a, a]`` is ``2 n_a``, twice the pairs not tied in row a.
 Tau-b is ``G[a, b] / sqrt(G[a, a] * G[b, b])``: concordant minus
 discordant pairs over the geometric mean of the pair counts not tied in
 each variable, which is the standard tie correction. Pairs tied in
-either variable add nothing to the numerator. For a stack, each sample
-has its own ``G``, all taken by one batched product per block. The
-signs are float32, and ``G`` is accumulated in float64 over blocks of
-vertices sized so that a block holds about ``_TAU_SIGNS`` signs (512 KB),
-so no ``(k, n**2)`` or n×n array is held. A block's product sums block
-× n <= 2**24 signs per entry (asserted), so its partial sums are integers
-exact in float32, and every entry of ``G`` is an integer below 2**53,
-exact in float64. So the sum is exact whatever the block, stack or BLAS
-summation order, and the doubling cancels exactly: the result is the
-float of pair counting.
+either variable add nothing to the numerator. The pairs (i, j) and
+(j, i) flip both signs and so add the same product, so the kernel signs
+each unordered pair once, i < j, and doubles the sum. For a stack, each
+sample has its own ``G``, all taken by one batched product per block.
+The signs are float32, and ``G`` is accumulated in float64 over blocks
+of vertices, each block against itself and the vertices after it, sized
+so that a block holds about ``_TAU_SIGNS`` signs (512 KB); no
+``(k, n**2)`` or n×n array is held. A block's product sums at most
+block × n <= 2**24 signs per entry (asserted), so its partial sums are
+integers exact in float32, and every entry of ``G`` is an integer below
+2**53, exact in float64. So the sum is exact whatever the block, stack
+or BLAS summation order, the doubling is exact, and it cancels exactly:
+the result is the float of pair counting.
 NaN and infinite inputs are rejected with :class:`ValueError`.
 Degenerate inputs are pinned by convention: two constant vectors
 correlate at 1.0 (identical trivial rankings), exactly one constant
@@ -77,14 +80,21 @@ def kendall_tau_b_matrix(rows) -> np.ndarray:
         raise ValueError("need at least two observations")
     if not np.isfinite(stack).all():
         raise ValueError("inputs must be finite (no NaN or inf)")
-    block = max(1, _TAU_SIGNS // max(1, s * k * n))
-    assert block * n <= 1 << 24, "float32 sign products are exact below 2**24"
     gram = np.zeros((s, k, k))
-    for lo in range(0, n, block):
-        x, y = stack[:, :, lo : lo + block, None], stack[:, :, None, :]
+    lo = 0
+    while lo < n:
+        # Vertices lo..hi-1 against themselves and every later vertex.
+        hi = min(n, lo + max(1, _TAU_SIGNS // max(1, s * k * (n - lo))))
+        assert (hi - lo) * (n - lo) <= 1 << 24, "float32 sign products are exact below 2**24"
+        x, y = stack[:, :, lo:hi, None], stack[:, :, None, lo:]
         # sign(x - y) from two exact compares, with no float64 difference.
-        signs = np.subtract(x > y, x < y, dtype=np.float32).reshape(s, k, -1)
+        signs = np.subtract(x > y, x < y, dtype=np.float32)
+        below = np.tril_indices(hi - lo, -1)  # (i, j) with j < i, inside the block
+        signs[:, :, below[0], below[1]] = 0.0
+        signs = signs.reshape(s, k, -1)
         gram += signs @ signs.swapaxes(1, 2)
+        lo = hi
+    gram *= 2.0  # each unordered pair stands for its two ordered pairs
     untied = np.diagonal(gram, axis1=1, axis2=2)
     denom = np.sqrt(untied[:, :, None] * untied[:, None, :])
     tau = np.full((s, k, k), TAU_CONVENTIONS["one_constant"])
@@ -175,39 +185,54 @@ def granularity(values) -> float:
     return 100.0 * distinct_count(values) / values.size
 
 
-def mean_ci(samples, confidence: float) -> tuple[float, float]:
-    """Mean and normal-approximation CI half-width ``z * s / sqrt(n)``.
+def mean_ci(samples, confidence: float):
+    """Mean and normal-approximation CI half-width ``z * s / sqrt(n)`` of
+    one sample, as two floats, or of each row of a ``(cells, n)`` array,
+    as two ``(cells,)`` arrays.
 
     ``s`` is the sample standard deviation; needs at least two samples.
+    The rows are reduced along the last axis of a C-contiguous array,
+    where numpy sums each row pairwise exactly as it sums the row alone,
+    so every row's figures are bit for bit those of its own call.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 2:
+    samples = np.ascontiguousarray(samples, dtype=float)
+    if samples.ndim not in (1, 2):
+        raise ValueError(
+            f"expected a sample or a (cells, n) array, got {samples.ndim} dimension(s)"
+        )
+    n = samples.shape[-1]
+    if n < 2:
         raise ValueError("need at least two samples for a confidence interval")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence level must be in (0, 1), got {confidence}")
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
-    mean = float(samples.mean())
-    s = float(samples.std(ddof=1))
-    return mean, z * s / np.sqrt(samples.size)
+    mean = samples.mean(axis=-1)
+    half = z * samples.std(axis=-1, ddof=1) / np.sqrt(n)
+    if samples.ndim == 1:
+        return float(mean), float(half)
+    return mean, half
+
+
+def best_shares(counts) -> np.ndarray:
+    """Percentage of the rows of an ``(networks, metrics)`` count array in
+    which each column attains the row's maximum; ties award every maximal
+    column, so the percentages can sum well above 100."""
+    counts = np.asarray(counts)
+    if counts.ndim != 2 or not counts.size:
+        raise ValueError("need at least one network and one metric")
+    best = np.count_nonzero(counts == counts.max(axis=1, keepdims=True), axis=0)
+    return 100.0 * best / len(counts)
 
 
 def best_granularity_tally(
     per_network_counts: Sequence[Mapping[str, int]],
 ) -> dict[str, float]:
-    """Percentage of networks on which each metric attains the maximum
-    distinct-value count; ties award every maximal metric, so the
-    percentages can sum well above 100.
-    """
+    """:func:`best_shares` of per-network ``metric -> count`` maps, which
+    must all name the same metrics."""
     if not per_network_counts:
         raise ValueError("need at least one network")
     metrics = tuple(sorted(per_network_counts[0]))
-    best = {m: 0 for m in metrics}
-    for counts in per_network_counts:
-        if tuple(sorted(counts)) != metrics:
-            raise ValueError("inconsistent metric sets across networks")
-        top = max(counts.values())
-        for m in metrics:
-            if counts[m] == top:
-                best[m] += 1
-    total = len(per_network_counts)
-    return {m: 100.0 * best[m] / total for m in metrics}
+    if any(tuple(sorted(counts)) != metrics for counts in per_network_counts):
+        raise ValueError("inconsistent metric sets across networks")
+    shares = best_shares([[counts[m] for m in metrics] for counts in per_network_counts])
+    return dict(zip(metrics, shares.tolist()))

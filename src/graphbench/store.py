@@ -4,7 +4,8 @@ the roll-up CSVs named in :data:`TABLE_FILES` and :data:`HEATMAP_FILE`.
 
 A sample has one form, :class:`RunResult`: its record holds the fields
 :meth:`RunResult.to_dict` writes, on one line of JSON, and
-:func:`load_results` rebuilds it from exactly those keys. Its ``tau`` maps
+:func:`load_run` rebuilds it from exactly those keys, checked against
+the manifest when there is one. Its ``tau`` maps
 each measure pair, keyed ``"a|b"`` by :func:`_pair`, to one tau-b value.
 """
 
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -62,6 +65,8 @@ class RunResult:
 
 
 _RECORD_KEYS = frozenset(f.name for f in fields(RunResult))
+_BARE_KEYS = _RECORD_KEYS - {"vectors"}  # a record written without vectors
+_index_key = operator.itemgetter("cell_index", "sample_index")
 
 
 def _pair(a: str, b: str) -> str:
@@ -134,21 +139,72 @@ def write_run(plan: ExperimentPlan, results: list[RunResult]) -> None:
         (samples_dir / name).write_text(encode(result.to_dict()) + "\n", encoding="utf-8")
 
 
-def recorded_confidence(results_dir) -> float:
-    """The confidence level the run recorded in ``manifest.json``, or the
-    default for a results directory without a manifest."""
-    manifest = Path(results_dir) / "manifest.json"
-    if not manifest.is_file():
-        return _DEFAULT_CONFIDENCE
+_READ_SIZE = 1 << 16
+
+
+def _read(path) -> bytes:
+    """The bytes of the file at ``path``: one read for a file of at most
+    64 KB, as a record without vectors is."""
+    fd = os.open(path, os.O_RDONLY)
     try:
-        confidence = json.loads(manifest.read_text(encoding="utf-8"))["confidence"]
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{manifest}: not valid JSON: {exc}") from None
+        chunks = [os.read(fd, _READ_SIZE)]
+        while len(chunks[-1]) == _READ_SIZE:
+            chunks.append(os.read(fd, _READ_SIZE))
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+# json.loads of a str, without its per-call encoding detection: records
+# and manifests are written as UTF-8.
+_decode = json.JSONDecoder().decode
+
+
+# The fields a record shares with its cell in the manifest, after its
+# (cell_index, sample_index).
+_PLANNED_FIELDS = ("model", "n", "params", "seed")
+_planned_key = operator.itemgetter("cell_index", "sample_index", *_PLANNED_FIELDS)
+
+
+@dataclass(frozen=True)
+class _Manifest:
+    """What a reload reads from ``manifest.json``."""
+
+    path: str
+    confidence: float
+    total_samples: int
+    planned: list  # _planned_key of every planned record, in canonical order
+
+
+def _read_manifest(results_dir) -> _Manifest | None:
+    """The run's ``manifest.json``, parsed once and checked, or None for a
+    results directory without one."""
+    path = os.path.join(results_dir, "manifest.json")
+    if not os.path.isfile(path):
+        return None
+    try:
+        manifest = _decode(_read(path).decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    try:
+        confidence = manifest["confidence"]
     except (KeyError, TypeError):
-        raise ValueError(f"{manifest}: no confidence level recorded") from None
+        raise ValueError(f"{path}: no confidence level recorded") from None
     if type(confidence) is not float or not 0.0 < confidence < 1.0:
-        raise ValueError(f"{manifest}: confidence must be a number in (0, 1), got {confidence!r}")
-    return confidence
+        raise ValueError(f"{path}: confidence must be a number in (0, 1), got {confidence!r}")
+    try:
+        planned = [
+            (cell["index"], sample, cell["model"], cell["n"], cell["params"], seed)
+            for cell in manifest["cells"]
+            for sample, seed in zip(range(cell["samples"]), cell["seeds"], strict=True)
+        ]
+        total = manifest["total_samples"]
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"{path}: cells, samples and seeds are not recorded in full") from None
+    return _Manifest(path, confidence, total, planned)
+
+
+_TAU_BOUND = 1.0 + 1e-12
 
 
 def _check_tau(path, tau) -> None:
@@ -161,48 +217,118 @@ def _check_tau(path, tau) -> None:
             raise ValueError(
                 f"{path}: tau key {key!r} is not 'a|b' for known measures a < b"
             )
-        if type(value) not in (int, float) or not abs(value) <= 1.0 + 1e-12:
+        if type(value) not in (int, float) or not abs(value) <= _TAU_BOUND:
             raise ValueError(f"{path}: tau value out of [-1, 1] for pair {key}: {value!r}")
 
 
-def load_results(results_dir) -> list[RunResult]:
-    """Load persisted sample records in canonical cell/sample order.
+def _taus_valid(taus) -> bool:
+    """Whether every ``tau`` passes :func:`_check_tau`, in a few C-level
+    passes over all of them."""
+    if not all(type(tau) is dict for tau in taus):
+        return False
+    if not _PAIR_KEYS.issuperset(itertools.chain.from_iterable(taus)):
+        return False
+    values = list(itertools.chain.from_iterable(map(dict.values, taus)))
+    # abs(nan) fails the bound, as it does in _check_tau.
+    return {int, float}.issuperset(map(type, values)) and all(
+        map(_TAU_BOUND.__ge__, map(abs, values)))
 
-    A record that is not JSON, whose keys are not exactly those
+
+def _check_record(path, name, record) -> None:
+    """Reject a record whose keys are not exactly those
     :meth:`RunResult.to_dict` writes, whose ``cell_index`` or
-    ``sample_index`` is not an int >= 0, whose file is not named after its
-    own cell and sample (so a copied record cannot count twice), or whose
-    ``tau`` fails :func:`_check_tau`, raises :class:`ValueError` naming
-    its file.
-    """
-    samples_dir = Path(results_dir) / "samples"
-    if not samples_dir.is_dir():
-        raise FileNotFoundError(f"no samples directory under {results_dir}")
-    results = []
-    for path in samples_dir.glob("*.json"):
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
-        keys = set(record) if isinstance(record, dict) else set()
-        missing = sorted(_RECORD_KEYS - keys - {"vectors"})
-        unknown = sorted(keys - _RECORD_KEYS)
-        if missing or unknown:
-            raise ValueError(
-                f"{path}: not a sample record (missing keys {missing}, "
-                f"unknown keys {unknown})"
-            )
+    ``sample_index`` is not an int >= 0, or that is not named after its
+    own cell and sample (so a copied record cannot count twice)."""
+    if type(record) is dict and (record.keys() == _BARE_KEYS or record.keys() == _RECORD_KEYS):
+        ci, si = record["cell_index"], record["sample_index"]
+        if type(ci) is int and type(si) is int and ci >= 0 and si >= 0 and (
+                name == _record_name(ci, si)):
+            return
+    # Only a record that fails comes here, to be named with its fault.
+    keys = set(record) if isinstance(record, dict) else set()
+    missing = sorted(_BARE_KEYS - keys)
+    unknown = sorted(keys - _RECORD_KEYS)
+    if missing or unknown:
+        raise ValueError(
+            f"{path}: not a sample record (missing keys {missing}, "
+            f"unknown keys {unknown})"
+        )
+    index = record["cell_index"], record["sample_index"]
+    if not all(type(i) is int and i >= 0 for i in index):
+        raise ValueError(
+            f"{path}: cell_index and sample_index must be ints >= 0, got {index}"
+        )
+    if name != _record_name(*index):
+        raise ValueError(
+            f"{path}: file name does not match its record (cell_index "
+            f"{record['cell_index']!r}, sample_index {record['sample_index']!r})"
+        )
+
+
+def _check_planned(samples_dir, records, manifest: _Manifest) -> None:
+    """Reject records (sorted, each checked by :func:`_check_record`) that
+    are not exactly the ones the manifest plans, naming the first
+    offending file: a record the manifest does not plan, one whose model,
+    n, params or seed is not its cell's, a planned record that is
+    missing, or a record count other than ``total_samples``."""
+    if list(map(_planned_key, records)) == manifest.planned and (
+            len(records) == manifest.total_samples):
+        return
+    planned = {key[:2]: key[2:] for key in manifest.planned}
+    for record in records:
         index = record["cell_index"], record["sample_index"]
-        if not all(type(i) is int and i >= 0 for i in index):
-            raise ValueError(
-                f"{path}: cell_index and sample_index must be ints >= 0, got {index}"
-            )
-        if path.name != _record_name(*index):
-            raise ValueError(
-                f"{path}: file name does not match its record (cell_index "
-                f"{record['cell_index']!r}, sample_index {record['sample_index']!r})"
-            )
-        _check_tau(path, record["tau"])
-        results.append(RunResult(**record))
-    results.sort(key=lambda r: (r.cell_index, r.sample_index))
-    return results
+        path = os.path.join(samples_dir, _record_name(*index))
+        if index not in planned:
+            raise ValueError(f"{path}: cell {index[0]} sample {index[1]} is not "
+                             f"planned in {manifest.path}")
+        for field, value in zip(_PLANNED_FIELDS, planned[index]):
+            if record[field] != value:
+                raise ValueError(f"{path}: {field} {record[field]!r} is not the "
+                                 f"{value!r} planned in {manifest.path}")
+    found = {(record["cell_index"], record["sample_index"]) for record in records}
+    missing = sorted(planned.keys() - found)
+    if missing:
+        path = os.path.join(samples_dir, _record_name(*missing[0]))
+        raise ValueError(f"{path}: record missing, though planned in {manifest.path}")
+    if len(records) != manifest.total_samples:
+        raise ValueError(f"{manifest.path}: total_samples is "
+                         f"{manifest.total_samples!r}, but {len(records)} records were found")
+
+
+def load_run(results_dir) -> tuple[list[RunResult], float]:
+    """Load persisted sample records in canonical cell/sample order, with
+    the confidence level the run recorded in ``manifest.json``, or the
+    default for a results directory without a manifest.
+
+    A record that is not JSON, that fails :func:`_check_record`, or whose
+    ``tau`` fails :func:`_check_tau` raises :class:`ValueError` naming its
+    file. When the manifest exists, it is parsed once, and records that
+    are not exactly the planned ones raise too (see :func:`_check_planned`).
+    """
+    samples_dir = os.path.join(results_dir, "samples")
+    if not os.path.isdir(samples_dir):
+        raise FileNotFoundError(f"no samples directory under {results_dir}")
+    manifest = _read_manifest(results_dir)
+    names = sorted(name for name in os.listdir(samples_dir) if name.endswith(".json"))
+    paths = [os.path.join(samples_dir, name) for name in names]
+    records = []
+    for path, name in zip(paths, names):
+        try:
+            record = _decode(_read(path).decode("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+        _check_record(path, name, record)
+        records.append(record)
+    if not _taus_valid([record["tau"] for record in records]):
+        for path, record in zip(paths, records):
+            _check_tau(path, record["tau"])
+    records.sort(key=_index_key)
+    if manifest is not None:
+        _check_planned(samples_dir, records, manifest)
+    confidence = _DEFAULT_CONFIDENCE if manifest is None else manifest.confidence
+    return [RunResult(**record) for record in records], confidence
+
+
+def load_results(results_dir) -> list[RunResult]:
+    """The records of :func:`load_run`, checked as it checks them."""
+    return load_run(results_dir)[0]

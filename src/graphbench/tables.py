@@ -2,11 +2,18 @@
 
 :func:`write_all_tables` is the only path from samples to the roll-up
 CSVs, and every mean with a CI in them goes through :func:`_mean_cells`.
+The records' values are gathered once into arrays, one row per record
+(:func:`_gather`). A cell, such as one family's tau values for one pair,
+is a row of a ``(cells, records)`` table whose present entries are its
+values, in record order; the cells of equal length are stacked as the
+rows of one array and reduced together along its last axis
+(:func:`_by_length`), bit for bit as each would be alone.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +34,11 @@ FAMILY_LABELS = {
     "nonisomorphic": "N_ni", "cs": "M_cs", "sf": "M_sf", "sw": "M_sw",
     "gr": "M_gr", "er": "M_er", "kg": "M_kg",
 }
+CORPUS_ORDER = ("complex_models", "nonisomorphic")
+
+# The measure pairs in the row order of correlation_by_model.csv.
+_PAIR_PAIRS = tuple(itertools.combinations(CORRELATION_ORDER, 2))
+_PAIR_ORDER = tuple(_pair(a, b) for a, b in _PAIR_PAIRS)
 
 
 def _ok(results) -> list[RunResult]:
@@ -41,22 +53,82 @@ def _fmt(value: float, decimals: int) -> str:
     return text.lstrip("-") if float(text) == 0 else text
 
 
-def _tau_buckets(results) -> dict[str, list[float]]:
-    """Each pair's tau values over ``results``, in their order."""
-    buckets: dict[str, list[float]] = {}
-    for r in results:
-        for key, value in r.tau.items():
-            buckets.setdefault(key, []).append(value)
-    return buckets
+def _gather(maps, keys) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, present)``, both ``(len(maps), len(keys))``: row r holds
+    ``maps[r][key]`` in the column of each key it has (0.0 where it has
+    none), and ``present`` marks the keys it has."""
+    shape = (len(maps), len(keys))
+    try:
+        rows = itertools.chain.from_iterable(map(operator.itemgetter(*keys), maps))
+        values = np.fromiter(rows, float, count=shape[0] * shape[1]).reshape(shape)
+        return values, np.ones(shape, dtype=bool)
+    except KeyError:  # a record without some of the keys
+        values = [[m.get(key, 0.0) for key in keys] for m in maps]
+        present = [[key in m for key in keys] for m in maps]
+        return (np.array(values, dtype=float).reshape(shape),
+                np.array(present, dtype=bool).reshape(shape))
 
 
-def _pair_means(buckets) -> dict[str, float]:
-    return {key: float(np.mean(values)) for key, values in buckets.items()}
+def _split(values, present, labels, order) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of every column of ``values`` and label in ``order``,
+    as a ``(columns * len(order), records)`` table and its ``present``
+    mask: row ``j * len(order) + g`` holds column j's values of the
+    records whose label is ``order[g]``."""
+    index = {label: g for g, label in enumerate(order)}
+    ids = np.array([index.get(label, -1) for label in labels])
+    member = ids == np.arange(len(order))[:, None]
+    table = np.repeat(values.T, len(order), axis=0)
+    mask = (present.T[:, None, :] & member).reshape(len(table), -1)
+    return table, mask
+
+
+def _by_length(table, present):
+    """The cells of ``table`` grouped by length: yields each length, the
+    rows of its cells and their values stacked as one C-contiguous
+    ``(cells, length)`` array, each row in record order."""
+    lengths = np.count_nonzero(present, axis=1)
+    for length in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        values = table[rows][present[rows]].reshape(len(rows), length)
+        yield length, rows, np.ascontiguousarray(values)
+
+
+def _mean_cells(table, present, confidence, decimals: int = 2) -> list[list[str]]:
+    """Each cell's mean and CI half-width, formatted, by
+    :func:`stats.mean_ci` on the stacked cells of each length: the
+    half-width is empty for a single value, and both are for an empty
+    cell."""
+    cells = [["", ""]] * len(table)
+    for length, rows, values in _by_length(table, present):
+        if length == 1:
+            means, halves = values[:, 0].tolist(), [None] * len(rows)
+        elif length > 1:
+            means, halves = (x.tolist() for x in stats.mean_ci(values, confidence))
+        else:
+            continue
+        for row, mean, half in zip(rows.tolist(), means, halves):
+            cells[row] = [_fmt(mean, decimals), "" if half is None else _fmt(half, decimals)]
+    return cells
+
+
+def _tau_table(good) -> tuple[np.ndarray, np.ndarray]:
+    """Every good record's tau, one row each, in :data:`_PAIR_ORDER`."""
+    return _gather([r.tau for r in good], _PAIR_ORDER)
+
+
+def _pooled_means(tau, present) -> dict[str, float]:
+    """Each pair's mean tau over the records that have it."""
+    means = {}
+    for length, rows, values in _by_length(tau.T, present.T):
+        if length:
+            means.update(zip([_PAIR_ORDER[row] for row in rows.tolist()],
+                             values.mean(axis=1).tolist()))
+    return means
 
 
 def correlation_matrix(results) -> dict[str, float]:
     """Pooled mean tau-b per pair key ``"a|b"`` over all successful results."""
-    return _pair_means(_tau_buckets(_ok(results)))
+    return _pooled_means(*_tau_table(_ok(results)))
 
 
 def _correlation_csv(means) -> str:
@@ -71,69 +143,52 @@ def _correlation_csv(means) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _groups(results, key) -> dict:
-    """``results`` grouped by ``key(r)``, each group in the order given."""
-    groups: dict = {}
-    for r in results:
-        groups.setdefault(key(r), []).append(r)
-    return groups
-
-
 def _corpus_group(r: RunResult) -> str:
     """The granularity tables pool the census apart from the random models."""
     return "nonisomorphic" if r.model == "nonisomorphic" else "complex_models"
 
 
-def _mean_cells(values, confidence, decimals: int = 2) -> list[str]:
-    """A mean and its CI half-width, formatted; the half-width is empty
-    for a single sample."""
-    if len(values) == 1:
-        return [_fmt(values[0], decimals), ""]
-    return [_fmt(x, decimals) for x in stats.mean_ci(values, confidence)]
-
-
-def _granularity_csv(good, confidence) -> str:
-    groups = _groups(good, _corpus_group)
-    header = (
-        "metric,complex_models_mean,complex_models_ci,"
-        "nonisomorphic_mean,nonisomorphic_ci"
-    )
-    lines = [header]
-    for metric in GRANULARITY_ORDER:
-        cells = []
-        for name in ("complex_models", "nonisomorphic"):
-            values = [r.granularity[metric] for r in groups.get(name, ())
-                      if metric in r.granularity]
-            cells.extend(_mean_cells(values, confidence) if values else ["", ""])
-        lines.append(SHORT_LABELS[metric] + "," + ",".join(cells))
+def _granularity_csv(values, present, corpus, confidence) -> str:
+    cells = _mean_cells(*_split(values, present, corpus, CORPUS_ORDER), confidence)
+    lines = ["metric,complex_models_mean,complex_models_ci,nonisomorphic_mean,nonisomorphic_ci"]
+    for j, metric in enumerate(GRANULARITY_ORDER):
+        complex_models, nonisomorphic = cells[2 * j : 2 * j + 2]
+        lines.append(",".join([SHORT_LABELS[metric], *complex_models, *nonisomorphic]))
     return "\n".join(lines) + "\n"
 
 
-def _granularity_by_size_csv(good, confidence) -> str:
+def _granularity_by_size_csv(values, present, corpus, sizes, confidence) -> str:
     """Granularity broken down by corpus group and vertex count, so pooled
     means (one weight per network) can be compared with per-size means."""
-    groups = _groups(good, lambda r: (_corpus_group(r), r.n))
+    labels = list(zip(corpus, sizes))
+    groups = sorted(set(labels))
+    table, mask = _split(values, present, labels, groups)
+    cells = _mean_cells(table, mask, confidence)
+    nonempty = mask.any(axis=1).tolist()
     lines = ["metric,group,n,mean,ci"]
-    for metric in GRANULARITY_ORDER:
-        for (name, n) in sorted(groups):
-            values = [
-                r.granularity[metric] for r in groups[(name, n)]
-                if metric in r.granularity
-            ]
-            if not values:
-                continue
-            mean, half = _mean_cells(values, confidence)
-            lines.append(f"{SHORT_LABELS[metric]},{name},{n},{mean},{half}")
+    for j, metric in enumerate(GRANULARITY_ORDER):
+        for g, (name, n) in enumerate(groups):
+            row = j * len(groups) + g
+            if nonempty[row]:
+                mean, half = cells[row]
+                lines.append(f"{SHORT_LABELS[metric]},{name},{n},{mean},{half}")
     return "\n".join(lines) + "\n"
 
 
-def _best_csv(by_family) -> str:
+def _best_csv(counts, present, families) -> str:
     header = "metric," + ",".join(FAMILY_LABELS[f] for f in FAMILY_ORDER)
+    families = np.array(families)
     percents: dict[str, dict[str, float]] = {}
-    for family, members in by_family.items():
-        counts = [r.distinct_counts for r in members if r.distinct_counts]
-        if counts:
-            percents[family] = stats.best_granularity_tally(counts)
+    for family in FAMILY_ORDER:
+        rows = (families == family) & present.any(axis=1)
+        if not rows.any():
+            continue
+        have = present[rows]
+        if (have != have[0]).any():
+            raise ValueError("inconsistent metric sets across networks")
+        metrics = [m for m, kept in zip(GRANULARITY_ORDER, have[0].tolist()) if kept]
+        shares = stats.best_shares(counts[rows][:, have[0]])
+        percents[family] = dict(zip(metrics, shares.tolist()))
     lines = [header]
     for metric in GRANULARITY_ORDER:
         cells = []
@@ -146,21 +201,21 @@ def _best_csv(by_family) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _correlation_by_model_csv(family_buckets, confidence) -> str:
+def _correlation_by_model_csv(tau, present, families, confidence) -> str:
+    order = [family for family in FAMILY_ORDER if family in set(families)]
+    table, mask = _split(tau, present, families, order)
+    counts = np.count_nonzero(mask, axis=1).tolist()
+    cells = _mean_cells(table, mask, confidence, decimals=6)
     lines = ["model,pair,mean_tau,count,ci_half_width"]
-    for family in FAMILY_ORDER:
-        if family not in family_buckets:
-            continue
-        buckets = family_buckets[family]
-        for a, b in itertools.combinations(CORRELATION_ORDER, 2):
-            values = buckets.get(_pair(a, b))
-            if not values:
-                continue
-            mean, half = _mean_cells(values, confidence, decimals=6)
-            lines.append(
-                f"{FAMILY_LABELS[family]},{SHORT_LABELS[a]}|{SHORT_LABELS[b]},"
-                f"{mean},{len(values)},{half}"
-            )
+    for g, family in enumerate(order):
+        for j, (a, b) in enumerate(_PAIR_PAIRS):
+            row = j * len(order) + g
+            if counts[row]:
+                mean, half = cells[row]
+                lines.append(
+                    f"{FAMILY_LABELS[family]},{SHORT_LABELS[a]}|{SHORT_LABELS[b]},"
+                    f"{mean},{counts[row]},{half}"
+                )
     return "\n".join(lines) + "\n"
 
 
@@ -169,17 +224,18 @@ def write_all_tables(results, out_dir, confidence: float = _DEFAULT_CONFIDENCE) 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     good = _ok(results)
-    by_family = _groups(good, lambda r: r.model)
-    family_buckets = {family: _tau_buckets(members) for family, members in by_family.items()}
-    # One family holds every good result in order, so its buckets are the pooled ones.
-    pooled = (next(iter(family_buckets.values())) if len(family_buckets) == 1
-              else _tau_buckets(good))
+    families = [r.model for r in good]
+    corpus = [_corpus_group(r) for r in good]
+    tau = _tau_table(good)
+    granularity = _gather([r.granularity for r in good], GRANULARITY_ORDER)
     content = {
-        "correlation": _correlation_csv(_pair_means(pooled)),
-        "correlation_by_model": _correlation_by_model_csv(family_buckets, confidence),
-        "granularity": _granularity_csv(good, confidence),
-        "granularity_by_size": _granularity_by_size_csv(good, confidence),
-        "best": _best_csv(by_family),
+        "correlation": _correlation_csv(_pooled_means(*tau)),
+        "correlation_by_model": _correlation_by_model_csv(*tau, families, confidence),
+        "granularity": _granularity_csv(*granularity, corpus, confidence),
+        "granularity_by_size": _granularity_by_size_csv(
+            *granularity, corpus, [r.n for r in good], confidence),
+        "best": _best_csv(*_gather([r.distinct_counts for r in good], GRANULARITY_ORDER),
+                          families),
     }
     paths = {}
     for name, text in content.items():

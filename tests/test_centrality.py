@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -29,12 +30,13 @@ from graphbench import (
     all_measures,
     centrality_csv,
     compute_measure,
+    enumerate_connected_nonisomorphic,
     erdos_renyi,
     sym_eigen,
 )
 from graphbench import centrality
 from graphbench.centrality import _TABLE, MEASURES, _inverse, measure_stack
-from graphbench.graphs import GraphStack
+from graphbench.graphs import GeodesicData, GraphStack
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -234,6 +236,34 @@ class TestStacks:
                 assert rows.shape == (len(corpus), corpus[0].n)
                 for row, g in zip(rows, corpus):
                     assert row.tobytes() == compute_measure(g, m).values.tobytes(), m
+
+    def test_unpickled_census_stack_stays_read_only(self):
+        # numpy does not pickle the writeable flag. A census stack reaches a
+        # pool worker pickled, before any measure (fresh) or, from another
+        # caller, with its spectrum and inverse kept (measured).
+        def arrays(stack):
+            found = {}
+            for name, value in vars(stack).items():
+                if isinstance(value, GeodesicData):
+                    value = tuple(vars(value).values())
+                for i, array in enumerate(value if isinstance(value, tuple) else (value,)):
+                    if isinstance(array, np.ndarray):
+                        found[f"{name}[{i}]"] = array
+            return found
+
+        stack = enumerate_connected_nonisomorphic(6)
+        fresh = pickle.loads(pickle.dumps(stack))
+        scores = {m: measure_stack(stack, m) for m in MEASURES}
+        measured = pickle.loads(pickle.dumps(stack))
+        for copy in (fresh, measured):
+            for m in MEASURES:
+                assert measure_stack(copy, m).tobytes() == scores[m].tobytes(), m
+            found = arrays(copy)
+            assert {"adjacency[0]", "edges[0]", "geodesics[0]", "geodesics[1]",
+                    "connected[0]", "_spectrum[1]", "_inverse[0]"} <= found.keys()
+            assert found.keys() == arrays(stack).keys()
+            assert not any(a.flags.writeable for a in found.values()), [
+                name for name, a in found.items() if a.flags.writeable]
 
     def test_stack_needs_one_vertex_count(self):
         for m in MEASURES:

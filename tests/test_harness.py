@@ -23,7 +23,7 @@ from graphbench import (
     run_experiment,
     write_all_tables,
 )
-from graphbench import centrality, cli, generators, harness
+from graphbench import centrality, cli, generators, harness, store
 from graphbench.cli import main as cli_main
 from graphbench.generators import KroneckerInitiator, ModelConfig, check_size, kronecker
 from graphbench.graphs import Graph, format_edge_list
@@ -485,6 +485,10 @@ class TestRun:
         plan = plan_experiments(_tiny_config(tmp_path / "out", samples_per_cell=1,
                                              metrics=["degree", "closeness"]))
         run_experiment(plan)
+        run_experiment(plan_experiments(_tiny_config(
+            tmp_path / "other", samples_per_cell=1, base_seed=8,
+            metrics=["degree", "closeness"])))
+        other = (tmp_path / "other" / "samples" / "cell0000_s0000.json").read_text()
         path = tmp_path / "out" / "samples" / "cell0000_s0000.json"
         record = json.loads(path.read_text())
         for text in (json.dumps({**record, "typo": 1}),
@@ -495,8 +499,17 @@ class TestRun:
                      json.dumps({**record, "cell_index": 0.0}),
                      json.dumps({**record, "cell_index": -1}),
                      json.dumps({k: v for k, v in record.items() if k != "retries"}),
-                     json.dumps(record)[:-1]):
-            path.write_text(text)
+                     json.dumps(record)[:-1],
+                     # Well-formed, but not the record the manifest plans:
+                     # one from a run with another base_seed, one with
+                     # edited params, and a deleted one (None).
+                     other,
+                     json.dumps({**record, "params": {**record["params"], "p": 0.31}}),
+                     None):
+            if text is None:
+                path.unlink()
+            else:
+                path.write_text(text)
             with pytest.raises(ValueError, match="cell0000_s0000.json"):
                 load_results(tmp_path / "out")
 
@@ -512,6 +525,48 @@ class TestRun:
                 load_results(tmp_path / "out")
             (samples / name).unlink()
         assert len(load_results(tmp_path / "out")) == 1
+
+    def test_reload_checks_the_manifest(self, tmp_path):
+        out = tmp_path / "out"
+        run_experiment(plan_experiments(_tiny_config(
+            out, samples_per_cell=2, metrics=["degree", "closeness"])))
+        assert len(load_results(out)) == 2
+        samples, manifest_path = out / "samples", out / "manifest.json"
+        first, second = samples / "cell0000_s0000.json", samples / "cell0000_s0001.json"
+        texts = {path: path.read_text() for path in (second, manifest_path)}
+        record = json.loads(texts[second])
+        manifest = json.loads(texts[manifest_path])
+        (cell,) = manifest["cells"]
+        seeds = cell["seeds"]
+        cases = [
+            # (file, its new text, the file and field the error names)
+            (second, {**record, "seed": record["seed"] + 1}, r"cell0000_s0001\.json: seed"),
+            (second, {**record, "model": "sw"}, r"cell0000_s0001\.json: model"),
+            (second, {**record, "n": 31}, r"cell0000_s0001\.json: n "),
+            (manifest_path, {**manifest, "total_samples": 3},
+             r"manifest\.json: total_samples is 3, but 2 records"),
+            (manifest_path, {**manifest, "cells": [{**cell, "samples": 1, "seeds": seeds[:1]}]},
+             r"cell0000_s0001\.json: cell 0 sample 1 is not planned"),
+            (manifest_path, {**manifest, "cells": [{**cell, "seeds": seeds[:1]}]},
+             r"manifest\.json: cells, samples and seeds are not recorded in full"),
+        ]
+        for path, content, message in cases:
+            path.write_text(json.dumps(content))
+            with pytest.raises(ValueError, match=message):
+                load_results(out)
+            path.write_text(texts[path])
+        # A record the manifest does not plan, named after its own index.
+        (samples / "cell0000_s0002.json").write_text(
+            json.dumps({**record, "sample_index": 2}))
+        with pytest.raises(ValueError, match=r"cell0000_s0002\.json: cell 0 sample 2 is not"):
+            load_results(out)
+        (samples / "cell0000_s0002.json").unlink()
+        first.unlink()
+        with pytest.raises(ValueError, match=r"cell0000_s0000\.json: record missing"):
+            load_results(out)
+        # Without a manifest, the records alone are checked.
+        manifest_path.unlink()
+        assert [r.sample_index for r in load_results(out)] == [1]
 
     def test_rerun_with_fewer_samples_drops_stale_records(self, tmp_path):
         metrics = ["degree", "closeness"]
@@ -947,6 +1002,20 @@ class TestCli:
         (results / "manifest.json").write_text("[]")
         assert cli_main(["tables", "--results", str(results),
                          "--out-dir", str(tmp_path / "bad")]) == 2
+
+    def test_tables_read_the_manifest_once(self, mixed_dir, tmp_path, monkeypatch):
+        reads = []
+        read = store._read
+
+        def counting_read(path):
+            reads.append(os.path.basename(path))
+            return read(path)
+
+        monkeypatch.setattr(store, "_read", counting_read)
+        assert cli_main(["tables", "--results", str(mixed_dir),
+                         "--out-dir", str(tmp_path / "again")]) == 0
+        assert reads.count("manifest.json") == 1
+        assert len(reads) == 1 + len(list((mixed_dir / "samples").glob("*.json")))
 
     @pytest.mark.parametrize("confidence", [
         "0.99", True, False, None, [0.9], 0, 1, 1.5, 1.0, 0.0, -0.5, float("nan"),

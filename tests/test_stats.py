@@ -1,4 +1,5 @@
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from graphbench import (
     kendall_tau_b,
     mean_ci,
 )
-from graphbench import stats
+from graphbench import stats, tables
 from graphbench.stats import TAU_CONVENTIONS, distinct_counts, kendall_tau_b_matrix, round6
 
 
@@ -427,6 +428,56 @@ class TestMeanCi:
     def test_bad_confidence(self):
         with pytest.raises(ValueError):
             mean_ci([1.0, 2.0], 1.0)
+
+
+# Ragged cells like a roll-up's: tau-like values and wider ones, of
+# every length from 1 to 60.
+_RAGGED_CELLS = st.lists(
+    st.lists(st.one_of(st.floats(-1.0, 1.0), st.floats(-1e6, 1e6)), min_size=1, max_size=60),
+    min_size=1, max_size=12,
+)
+
+
+_Z95 = NormalDist().inv_cdf(0.975)
+
+
+class TestMeanCiRows:
+    @settings(max_examples=300, deadline=None)
+    @given(_RAGGED_CELLS)
+    @example([[0.1] * 7 + [0.7], [0.3, -0.2], [0.5]])
+    def test_stacked_rows_match_one_call_per_cell(self, cells):
+        # The roll-ups' path: cells stacked by length as the rows of one
+        # array and reduced together, each row bit for bit its own call.
+        width = max(map(len, cells))
+        table = np.zeros((len(cells), width))
+        present = np.zeros((len(cells), width), dtype=bool)
+        for row, cell in enumerate(cells):
+            table[row, : len(cell)], present[row, : len(cell)] = cell, True
+        seen = set()
+        for length, rows, values in tables._by_length(table, present):
+            assert values.flags.c_contiguous and values.shape == (len(rows), length)
+            if length == 1:
+                got = zip(values.mean(axis=1).tolist(), [None] * len(rows))
+            else:
+                got = zip(*(x.tolist() for x in mean_ci(values, 0.95)))
+            for row, (mean, half) in zip(rows.tolist(), got):
+                seen.add(row)
+                if length == 1:
+                    assert mean == cells[row][0]
+                else:
+                    assert (mean, half) == mean_ci(cells[row], 0.95)
+                    # ... and the 1-D formulas, one numpy call per cell.
+                    assert mean == float(np.mean(cells[row]))
+                    assert half == _Z95 * float(np.std(cells[row], ddof=1)) / np.sqrt(length)
+        assert seen == set(range(len(cells)))
+
+    def test_rows_form_checks_like_one_sample(self):
+        with pytest.raises(ValueError, match="two samples"):
+            mean_ci([[1.0], [2.0]], 0.99)
+        with pytest.raises(ValueError, match="dimension"):
+            mean_ci(np.ones((2, 2, 2)), 0.99)
+        means, halves = mean_ci([[3.0, 3.0], [0.0, 1.0]], 0.99)
+        assert means.tolist() == [3.0, 0.5] and halves[0] == 0.0
 
 
 class TestBestTally:
